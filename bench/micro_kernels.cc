@@ -9,11 +9,16 @@
  *    comparison of the delta-update kernels that verifies
  *    bit-exactness while timing, writes machine-readable records
  *    (ns per delta update, effective GB/s, % of the STREAM-style
- *    memory peak probed at startup, speedups per layer shape) to
- *    PATH, and with `--min-speedup=X` / `--min-simd-vs-blocked=Y`
- *    exits non-zero when any FC shape with >= 1024 outputs at
- *    10-40% changed inputs falls below the bound (the CI perf-smoke
- *    gates);
+ *    memory peak probed at startup, speedups per layer shape) plus
+ *    per-layer conv records for the AutoPilot and C3D conv shapes
+ *    (plain forward GMAC/s, delta apply ns per change) and a host
+ *    fingerprint to PATH.  With `--min-speedup=X` /
+ *    `--min-simd-vs-blocked=Y` it exits non-zero when any FC shape
+ *    with >= 1024 outputs at 10-40% changed inputs falls below the
+ *    bound, and with `--min-conv-simd-vs-scalar=Z` when the
+ *    dispatched conv delta apply of any conv shape is slower than Z
+ *    times its scalar reference in the same run (the CI perf-smoke
+ *    gates, all ratios of two timings from one run);
  *  - `--arch`: prints the kernel dispatch decision (compiled and
  *    runnable families, the chosen arch, the REUSE_KERNELS
  *    override) and the probed memory peak, then exits.
@@ -25,12 +30,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/aligned.h"
@@ -41,6 +48,7 @@
 #include "kernels/delta_kernels.h"
 #include "kernels/dispatch.h"
 #include "nn/initializers.h"
+#include "workloads/model_zoo.h"
 
 namespace reuse {
 namespace {
@@ -402,14 +410,193 @@ benchFcGemv(int64_t n, int64_t m, Rng &rng, double peak_gbps)
     return rec;
 }
 
+/** Plain forward and delta apply timings of one conv layer shape. */
+struct ConvRecord {
+    std::string layer;  ///< "<model>.<layer name>"
+    std::string in_shape;
+    std::string out_shape;
+    int64_t macs = 0;
+    double forward_ns = 0.0;
+    double gmacs = 0.0;
+    double change_fraction = 0.0;
+    int64_t changed = 0;
+    double scalar_ns = 0.0;
+    double blocked_ns = 0.0;
+    double simd_ns = 0.0;
+    /** Dispatched apply time per changed input. */
+    double ns_per_change = 0.0;
+    /** scalar / dispatched: the CI ratio gate. */
+    double simd_vs_scalar = 0.0;
+    bool bit_exact = false;
+};
+
+/** Conv delta apply of one layer, channels-last output. */
+template <typename Geometry, typename ScalarFn, typename BlockedFn,
+          typename DispatchFn>
+void
+timeConvDelta(ConvRecord &rec, int64_t in_numel, int64_t out_numel,
+              const Geometry &g, const float *weights,
+              int64_t macs_per_change, Rng &rng, ScalarFn scalar,
+              BlockedFn blocked, DispatchFn dispatched)
+{
+    rec.change_fraction = 0.1;
+    rec.changed = static_cast<int64_t>(rec.change_fraction *
+                                       static_cast<double>(in_numel));
+    const kernels::ChangeList changes =
+        exactChanges(in_numel, rec.changed, rng);
+    AlignedVector<float> base(static_cast<size_t>(out_numel));
+    rng.fillGaussian(base, 0.0f, 1.0f);
+    AlignedVector<float> scalar_out = base;
+    AlignedVector<float> blocked_out = base;
+    AlignedVector<float> simd_out = base;
+    scalar(changes, g, weights, scalar_out.data());
+    blocked(changes, g, weights, blocked_out.data());
+    dispatched(changes, g, weights, simd_out.data());
+    rec.bit_exact =
+        std::memcmp(scalar_out.data(), blocked_out.data(),
+                    base.size() * sizeof(float)) == 0 &&
+        std::memcmp(scalar_out.data(), simd_out.data(),
+                    base.size() * sizeof(float)) == 0;
+    const int iters = itersFor(rec.changed * macs_per_change);
+    AlignedVector<float> out = base;
+    rec.scalar_ns = timeNs(5, iters, [&] {
+        scalar(changes, g, weights, out.data());
+    });
+    rec.blocked_ns = timeNs(5, iters, [&] {
+        blocked(changes, g, weights, out.data());
+    });
+    rec.simd_ns = timeNs(5, iters, [&] {
+        dispatched(changes, g, weights, out.data());
+    });
+    rec.ns_per_change =
+        rec.changed > 0 ? rec.simd_ns / static_cast<double>(rec.changed)
+                        : 0.0;
+    rec.simd_vs_scalar =
+        rec.simd_ns > 0.0 ? rec.scalar_ns / rec.simd_ns : 0.0;
+}
+
+/**
+ * Times every conv layer of `model` on its own input shape: the
+ * plain forward (GMAC/s) and the delta apply at 10% changed inputs.
+ * Weights are the model zoo's; inputs are random, a quarter zero.
+ */
+void
+benchConvLayers(const std::string &model, const Network &net,
+                Shape in_shape, Rng &rng,
+                std::vector<ConvRecord> &records)
+{
+    const kernels::DeltaDispatch simd = simdDispatch();
+    for (size_t l = 0; l < net.layerCount(); ++l) {
+        const Layer &layer = net.layer(l);
+        const Shape out_shape = layer.outputShape(in_shape);
+        const LayerKind kind = layer.kind();
+        if (kind == LayerKind::Conv2D || kind == LayerKind::Conv3D) {
+            ConvRecord rec;
+            rec.layer = model + "." + layer.name();
+            rec.in_shape = in_shape.str();
+            rec.out_shape = out_shape.str();
+            rec.macs = layer.macCount(in_shape);
+            Tensor in(in_shape);
+            for (int64_t i = 0; i < in.numel(); ++i)
+                in[i] = rng.bernoulli(0.25) ? 0.0f
+                                            : rng.gaussian(0.0f, 1.0f);
+            rec.forward_ns = timeNs(3, itersFor(rec.macs), [&] {
+                benchmark::DoNotOptimize(layer.forward(in));
+            });
+            rec.gmacs = rec.forward_ns > 0.0
+                            ? static_cast<double>(rec.macs) /
+                                  rec.forward_ns
+                            : 0.0;
+            if (kind == LayerKind::Conv2D) {
+                const auto &conv = static_cast<const Conv2DLayer &>(layer);
+                kernels::Conv2dGeometry g;
+                g.in_h = in_shape.dim(1);
+                g.in_w = in_shape.dim(2);
+                g.out_channels = conv.outChannels();
+                g.out_h = out_shape.dim(1);
+                g.out_w = out_shape.dim(2);
+                g.kernel = conv.kernel();
+                g.stride = conv.stride();
+                const int64_t reach =
+                    (g.kernel + g.stride - 1) / g.stride;
+                timeConvDelta(
+                    rec, in_shape.numel(), out_shape.numel(), g,
+                    conv.weights().data(),
+                    reach * reach * g.out_channels, rng,
+                    kernels::applyConvDeltas2dScalar,
+                    kernels::applyConvDeltas2dBlocked,
+                    [&](const kernels::ChangeList &c,
+                        const kernels::Conv2dGeometry &gg,
+                        const float *w, float *o) {
+                        kernels::applyConvDeltas2d(c, gg, w, o, simd);
+                    });
+            } else {
+                const auto &conv = static_cast<const Conv3DLayer &>(layer);
+                kernels::Conv3dGeometry g;
+                g.in_d = in_shape.dim(1);
+                g.in_h = in_shape.dim(2);
+                g.in_w = in_shape.dim(3);
+                g.out_channels = conv.outChannels();
+                g.out_d = out_shape.dim(1);
+                g.out_h = out_shape.dim(2);
+                g.out_w = out_shape.dim(3);
+                g.kernel = conv.kernel();
+                g.pad = conv.pad();
+                timeConvDelta(
+                    rec, in_shape.numel(), out_shape.numel(), g,
+                    conv.weights().data(),
+                    g.kernel * g.kernel * g.kernel * g.out_channels, rng,
+                    kernels::applyConvDeltas3dScalar,
+                    kernels::applyConvDeltas3dBlocked,
+                    [&](const kernels::ChangeList &c,
+                        const kernels::Conv3dGeometry &gg,
+                        const float *w, float *o) {
+                        kernels::applyConvDeltas3d(c, gg, w, o, simd);
+                    });
+            }
+            records.push_back(rec);
+        }
+        in_shape = out_shape;
+    }
+}
+
+/** CPU model name from /proc/cpuinfo ("unknown" elsewhere). */
+std::string
+cpuModel()
+{
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("model name", 0) != 0)
+            continue;
+        const size_t colon = line.find(':');
+        if (colon == std::string::npos)
+            break;
+        const size_t first = line.find_first_not_of(' ', colon + 1);
+        std::string model =
+            first == std::string::npos ? "" : line.substr(first);
+        for (char &ch : model)
+            if (ch == '"' || ch == '\\')
+                ch = ' ';
+        return model.empty() ? "unknown" : model;
+    }
+    return "unknown";
+}
+
 void
 writeJson(const std::string &path,
-          const std::vector<KernelRecord> &records, double peak_gbps)
+          const std::vector<KernelRecord> &records,
+          const std::vector<ConvRecord> &conv_records, double peak_gbps)
 {
     std::ofstream out(path);
     out << "{\n  \"bench\": \"micro_kernels\",\n  \"arch\": \""
         << kernels::archName(kernels::defaultDispatch().arch)
-        << "\",\n";
+        << "\",\n  \"host\": {\"cpu\": \"" << cpuModel()
+        << "\", \"nproc\": "
+        << std::max(1u, std::thread::hardware_concurrency())
+        << ", \"arch\": \""
+        << kernels::archName(kernels::defaultDispatch().arch)
+        << "\"},\n";
     char peak[64];
     std::snprintf(peak, sizeof(peak),
                   "  \"memory_peak_gbps\": %.3f,\n", peak_gbps);
@@ -435,6 +622,27 @@ writeJson(const std::string &path,
             i + 1 < records.size() ? "," : "");
         out << buf;
     }
+    out << "  ],\n  \"conv_records\": [\n";
+    for (size_t i = 0; i < conv_records.size(); ++i) {
+        const ConvRecord &r = conv_records[i];
+        char buf[768];
+        std::snprintf(
+            buf, sizeof(buf),
+            "    {\"layer\": \"%s\", \"in_shape\": \"%s\", "
+            "\"out_shape\": \"%s\", \"macs\": %lld, "
+            "\"forward_ns\": %.1f, \"gmacs\": %.3f, "
+            "\"change_fraction\": %.2f, \"changed\": %lld, "
+            "\"scalar_ns\": %.1f, \"blocked_ns\": %.1f, "
+            "\"simd_ns\": %.1f, \"ns_per_change\": %.2f, "
+            "\"simd_vs_scalar\": %.3f, \"bit_exact\": %s}%s\n",
+            r.layer.c_str(), r.in_shape.c_str(), r.out_shape.c_str(),
+            static_cast<long long>(r.macs), r.forward_ns, r.gmacs,
+            r.change_fraction, static_cast<long long>(r.changed),
+            r.scalar_ns, r.blocked_ns, r.simd_ns, r.ns_per_change,
+            r.simd_vs_scalar, r.bit_exact ? "true" : "false",
+            i + 1 < conv_records.size() ? "," : "");
+        out << buf;
+    }
     out << "  ]\n}\n";
 }
 
@@ -442,11 +650,11 @@ writeJson(const std::string &path,
  * Runs the scalar vs blocked vs SIMD comparison, writes `json_path`,
  * and returns the process exit code (non-zero when bit-exactness
  * fails or a gated shape misses `min_speedup` /
- * `min_simd_vs_blocked`).
+ * `min_simd_vs_blocked` / `min_conv_simd_vs_scalar`).
  */
 int
 runJsonBench(const std::string &json_path, double min_speedup,
-             double min_simd_vs_blocked)
+             double min_simd_vs_blocked, double min_conv_simd_vs_scalar)
 {
     const double peak_gbps = probeMemoryPeakGbps();
     std::printf("arch %s, memory peak %.2f GB/s\n",
@@ -464,7 +672,19 @@ runJsonBench(const std::string &json_path, double min_speedup,
         records.push_back(benchFcGemv(s.n, s.m, rng, peak_gbps));
     }
 
-    writeJson(json_path, records, peak_gbps);
+    std::vector<ConvRecord> conv_records;
+    {
+        Rng model_rng(42);
+        const ModelBundle autopilot = buildAutopilot(model_rng);
+        benchConvLayers("autopilot", *autopilot.network,
+                        Shape({3, 66, 200}), rng, conv_records);
+        // The functional C3D the workloads run (28x28 frames).
+        const ModelBundle c3d = buildC3D(model_rng, 4);
+        benchConvLayers("c3d", *c3d.network, Shape({3, 16, 28, 28}), rng,
+                        conv_records);
+    }
+
+    writeJson(json_path, records, conv_records, peak_gbps);
 
     int rc = 0;
     for (const KernelRecord &r : records) {
@@ -510,8 +730,31 @@ runJsonBench(const std::string &json_path, double min_speedup,
             rc = 1;
         }
     }
-    std::printf("wrote %s (%zu records)\n", json_path.c_str(),
-                records.size());
+    for (const ConvRecord &r : conv_records) {
+        std::printf("conv %-16s %-16s forward %6.2f GMAC/s  delta@%2.0f%% "
+                    "scalar %6.1f  blocked %6.1f  simd %6.1f ns/change  "
+                    "simd/scalar %5.2fx  %s\n",
+                    r.layer.c_str(), r.in_shape.c_str(), r.gmacs,
+                    100.0 * r.change_fraction,
+                    r.scalar_ns / static_cast<double>(r.changed),
+                    r.blocked_ns / static_cast<double>(r.changed),
+                    r.ns_per_change, r.simd_vs_scalar,
+                    r.bit_exact ? "bit-exact" : "MISMATCH");
+        if (!r.bit_exact) {
+            std::printf("FAIL: conv delta %s not bit-exact\n",
+                        r.layer.c_str());
+            rc = 1;
+        }
+        if (r.simd_vs_scalar < min_conv_simd_vs_scalar) {
+            std::printf("FAIL: conv delta %s: dispatched/scalar %.2fx < "
+                        "required %.2fx\n",
+                        r.layer.c_str(), r.simd_vs_scalar,
+                        min_conv_simd_vs_scalar);
+            rc = 1;
+        }
+    }
+    std::printf("wrote %s (%zu records, %zu conv records)\n",
+                json_path.c_str(), records.size(), conv_records.size());
     return rc;
 }
 
@@ -553,6 +796,7 @@ main(int argc, char **argv)
     std::string json_path;
     double min_speedup = 0.0;
     double min_simd_vs_blocked = 0.0;
+    double min_conv_simd_vs_scalar = 0.0;
     bool print_arch = false;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -562,6 +806,8 @@ main(int argc, char **argv)
             min_speedup = std::stod(arg.substr(14));
         else if (arg.rfind("--min-simd-vs-blocked=", 0) == 0)
             min_simd_vs_blocked = std::stod(arg.substr(22));
+        else if (arg.rfind("--min-conv-simd-vs-scalar=", 0) == 0)
+            min_conv_simd_vs_scalar = std::stod(arg.substr(26));
         else if (arg == "--arch")
             print_arch = true;
     }
@@ -569,7 +815,8 @@ main(int argc, char **argv)
         return reuse::printArch();
     if (!json_path.empty())
         return reuse::runJsonBench(json_path, min_speedup,
-                                   min_simd_vs_blocked);
+                                   min_simd_vs_blocked,
+                                   min_conv_simd_vs_scalar);
 
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))

@@ -5,7 +5,6 @@
 #include "common/checksum.h"
 #include "common/logging.h"
 #include "fault/fault_injector.h"
-#include "kernels/delta_kernels.h"
 #include "obs/trace_recorder.h"
 
 namespace reuse {
@@ -14,24 +13,57 @@ ConvReuseState::ConvReuseState(const Conv2DLayer &layer,
                                Shape input_shape,
                                LinearQuantizer quantizer,
                                int32_t cluster_radius)
-    : conv2d_(&layer),
-      input_shape_(std::move(input_shape)),
-      quantizer_(std::move(quantizer)),
-      cluster_radius_(cluster_radius)
+    : ConvReuseState(&layer, nullptr, layer, std::move(input_shape),
+                     std::move(quantizer), cluster_radius)
 {
-    // Buffers are allocated lazily by the first execute(): a state
-    // that never runs (or was evicted) holds no memory.
 }
 
 ConvReuseState::ConvReuseState(const Conv3DLayer &layer,
                                Shape input_shape,
                                LinearQuantizer quantizer,
                                int32_t cluster_radius)
-    : conv3d_(&layer),
+    : ConvReuseState(nullptr, &layer, layer, std::move(input_shape),
+                     std::move(quantizer), cluster_radius)
+{
+}
+
+ConvReuseState::ConvReuseState(const Conv2DLayer *conv2d,
+                               const Conv3DLayer *conv3d,
+                               const Layer &layer, Shape input_shape,
+                               LinearQuantizer quantizer,
+                               int32_t cluster_radius)
+    : conv2d_(conv2d),
+      conv3d_(conv3d),
+      kind_(layer.kind()),
       input_shape_(std::move(input_shape)),
+      out_shape_(layer.outputShape(input_shape_)),
+      macs_full_(layer.macCount(input_shape_)),
       quantizer_(std::move(quantizer)),
       cluster_radius_(cluster_radius)
 {
+    // Buffers are allocated lazily by the first execute(): a state
+    // that never runs (or was evicted) holds no memory.
+    if (conv2d_ != nullptr) {
+        kernel_ = conv2d_->kernel();
+        geom2d_.in_h = input_shape_.dim(1);
+        geom2d_.in_w = input_shape_.dim(2);
+        geom2d_.out_channels = conv2d_->outChannels();
+        geom2d_.out_h = out_shape_.dim(1);
+        geom2d_.out_w = out_shape_.dim(2);
+        geom2d_.kernel = kernel_;
+        geom2d_.stride = conv2d_->stride();
+    } else {
+        kernel_ = conv3d_->kernel();
+        geom3d_.in_d = input_shape_.dim(1);
+        geom3d_.in_h = input_shape_.dim(2);
+        geom3d_.in_w = input_shape_.dim(3);
+        geom3d_.out_channels = conv3d_->outChannels();
+        geom3d_.out_d = out_shape_.dim(1);
+        geom3d_.out_h = out_shape_.dim(2);
+        geom3d_.out_w = out_shape_.dim(3);
+        geom3d_.kernel = kernel_;
+        geom3d_.pad = conv3d_->pad();
+    }
 }
 
 void
@@ -39,7 +71,7 @@ ConvReuseState::releaseBuffers()
 {
     has_prev_ = false;
     AlignedVector<int32_t>().swap(prev_indices_);
-    prev_output_ = Tensor();
+    AlignedVector<float>().swap(prev_output_);
     changes_.releaseStorage();
 }
 
@@ -50,20 +82,16 @@ ConvReuseState::hashInto(uint64_t &h) const
     if (!has_prev_)
         return;
     checksumVector(h, prev_indices_);
-    checksumValue(h, prev_output_.numel());
-    checksumBytes(h, prev_output_.data().data(),
-                  static_cast<size_t>(prev_output_.numel()) *
-                      sizeof(float));
+    checksumVector(h, prev_output_);
 }
 
 bool
 ConvReuseState::debugCorruptBuffer(uint64_t seed)
 {
-    if (!has_prev_ || prev_output_.numel() <= 0)
+    if (!has_prev_ || prev_output_.empty())
         return false;
-    float *data = prev_output_.data().data();
-    const size_t victim =
-        seed % static_cast<size_t>(prev_output_.numel());
+    float *data = prev_output_.data();
+    const size_t victim = seed % prev_output_.size();
     const uint32_t bit = static_cast<uint32_t>((seed >> 16) % 23);
     uint32_t raw = 0;
     std::memcpy(&raw, &data[victim], sizeof(raw));
@@ -78,30 +106,24 @@ ConvReuseState::memoryBytes() const
     // Change-list scratch excluded: transient per-frame storage the
     // static footprint estimator (analysis/) mirrors exactly.
     return static_cast<int64_t>(prev_indices_.capacity() *
-                                sizeof(int32_t)) +
-           (prev_output_.numel() > 1
-                ? prev_output_.numel() *
-                      static_cast<int64_t>(sizeof(float))
-                : 0);
+                                    sizeof(int32_t) +
+                                prev_output_.capacity() * sizeof(float));
 }
 
 Tensor
-ConvReuseState::execute(const Tensor &input, LayerExecRecord &rec)
+ConvReuseState::bufferedOutput() const
 {
-    REUSE_ASSERT(input.shape() == input_shape_,
-                 "conv reuse input shape mismatch: " << input.shape().str()
-                     << " vs " << input_shape_.str());
-    if (conv2d_ != nullptr)
-        return executeConv2d(input, rec);
-    return executeConv3d(input, rec);
+    const int64_t channels = out_shape_.dim(0);
+    Tensor out(out_shape_);
+    kernels::channelsLastToFirst(prev_output_.data(),
+                                 out_shape_.numel() / channels, channels,
+                                 out.data().data());
+    return out;
 }
 
-bool
-ConvReuseState::firstExecution(const Tensor &input, LayerExecRecord &rec,
-                               const Layer &layer)
+void
+ConvReuseState::firstExecution(const Tensor &input, LayerExecRecord &rec)
 {
-    if (has_prev_)
-        return false;
     obs::TraceSpan span(obs::SpanKind::FirstExec);
     span.args(0, 0, rec.macsFull, rec.macsFull,
               obs::kFlagFirstExecution | obs::kFlagReuseEnabled);
@@ -112,42 +134,44 @@ ConvReuseState::firstExecution(const Tensor &input, LayerExecRecord &rec,
                                  quantizer_.scanParams(),
                                  prev_indices_.data(),
                                  quantized.data().data());
-    prev_output_ = layer.forward(quantized);
+    prev_output_.resize(static_cast<size_t>(out_shape_.numel()));
+    if (conv2d_ != nullptr)
+        conv2d_->forwardChannelsLast(quantized, prev_output_.data());
+    else
+        conv3d_->forwardChannelsLast(quantized, prev_output_.data());
     has_prev_ = true;
     rec.firstExecution = true;
     rec.macsPerformed = rec.macsFull;
-    return true;
 }
 
 Tensor
-ConvReuseState::executeConv2d(const Tensor &input, LayerExecRecord &rec)
+ConvReuseState::execute(const Tensor &input, LayerExecRecord &rec)
 {
-    const Conv2DLayer &layer = *conv2d_;
+    REUSE_ASSERT(input.shape() == input_shape_,
+                 "conv reuse input shape mismatch: " << input.shape().str()
+                     << " vs " << input_shape_.str());
     const int64_t n = input.numel();
-    const int64_t h = input_shape_.dim(1);
-    const int64_t w = input_shape_.dim(2);
-    const Shape out_shape = layer.outputShape(input_shape_);
-
-    rec.kind = LayerKind::Conv2D;
-    rec.kernelExtent = layer.kernel();
+    rec.kind = kind_;
+    rec.kernelExtent = kernel_;
     rec.reuseEnabled = true;
     rec.inputsTotal = n;
-    rec.outputsTotal = out_shape.numel();
-    rec.macsFull = layer.macCount(input_shape_);
+    rec.outputsTotal = out_shape_.numel();
+    rec.macsFull = macs_full_;
     rec.steps = 1;
 
-    if (firstExecution(input, rec, layer))
-        return prev_output_;
+    if (!has_prev_) {
+        firstExecution(input, rec);
+        return bufferedOutput();
+    }
 
     rec.firstExecution = false;
     rec.inputsChecked = n;
     kernels::QuantScanParams scan = quantizer_.scanParams();
     scan.radius = cluster_radius_;
-    fault::perturbScanParams(LayerKind::Conv2D, scan);
-    fault::corruptIndices(LayerKind::Conv2D, prev_indices_.data(), n);
-    fault::corruptFloats(LayerKind::Conv2D,
-                         prev_output_.data().data(),
-                         prev_output_.numel());
+    fault::perturbScanParams(kind_, scan);
+    fault::corruptIndices(kind_, prev_indices_.data(), n);
+    fault::corruptFloats(kind_, prev_output_.data(),
+                         static_cast<int64_t>(prev_output_.size()));
     kernels::ScanResult scanned;
     {
         obs::TraceSpan span(obs::SpanKind::LayerScan);
@@ -155,27 +179,22 @@ ConvReuseState::executeConv2d(const Tensor &input, LayerExecRecord &rec)
                                        prev_indices_.data(), changes_);
         span.args(n, scanned.changed);
     }
-    fault::truncateChanges(LayerKind::Conv2D, changes_);
+    fault::truncateChanges(kind_, changes_);
     int64_t macs = 0;
     if (!changes_.empty()) {
         obs::TraceSpan span(obs::SpanKind::LayerApply);
         span.args(static_cast<int64_t>(changes_.size()),
                   rec.outputsTotal);
-        kernels::Conv2dGeometry geom;
-        geom.in_h = h;
-        geom.in_w = w;
-        geom.out_channels = layer.outChannels();
-        geom.out_h = out_shape.dim(1);
-        geom.out_w = out_shape.dim(2);
-        geom.kernel = layer.kernel();
-        geom.stride = layer.stride();
-        kernels::applyConvDeltas2d(changes_, geom,
-                                   layer.weights().data(),
-                                   prev_output_.data().data());
-        for (size_t c = 0; c < changes_.size(); ++c) {
-            const int32_t i = changes_.position(c);
-            macs += layer.affectedOutputs(input_shape_, (i / w) % h,
-                                          i % w);
+        if (conv2d_ != nullptr) {
+            kernels::applyConvDeltas2d(changes_, geom2d_,
+                                       conv2d_->weights().data(),
+                                       prev_output_.data());
+            macs = kernels::convDeltaMacs2d(changes_, geom2d_);
+        } else {
+            kernels::applyConvDeltas3d(changes_, geom3d_,
+                                       conv3d_->weights().data(),
+                                       prev_output_.data());
+            macs = kernels::convDeltaMacs3d(changes_, geom3d_);
         }
     }
     rec.inputsChanged = scanned.changed;
@@ -183,78 +202,7 @@ ConvReuseState::executeConv2d(const Tensor &input, LayerExecRecord &rec)
     rec.nearMatchDrift =
         kernels::nearMatchDriftShare(scan, scanned.near_matched);
     rec.macsPerformed = macs;
-    return prev_output_;
-}
-
-Tensor
-ConvReuseState::executeConv3d(const Tensor &input, LayerExecRecord &rec)
-{
-    const Conv3DLayer &layer = *conv3d_;
-    const int64_t n = input.numel();
-    const int64_t d = input_shape_.dim(1);
-    const int64_t h = input_shape_.dim(2);
-    const int64_t w = input_shape_.dim(3);
-    const Shape out_shape = layer.outputShape(input_shape_);
-
-    rec.kind = LayerKind::Conv3D;
-    rec.kernelExtent = layer.kernel();
-    rec.reuseEnabled = true;
-    rec.inputsTotal = n;
-    rec.outputsTotal = out_shape.numel();
-    rec.macsFull = layer.macCount(input_shape_);
-    rec.steps = 1;
-
-    if (firstExecution(input, rec, layer))
-        return prev_output_;
-
-    rec.firstExecution = false;
-    rec.inputsChecked = n;
-    kernels::QuantScanParams scan = quantizer_.scanParams();
-    scan.radius = cluster_radius_;
-    fault::perturbScanParams(LayerKind::Conv3D, scan);
-    fault::corruptIndices(LayerKind::Conv3D, prev_indices_.data(), n);
-    fault::corruptFloats(LayerKind::Conv3D,
-                         prev_output_.data().data(),
-                         prev_output_.numel());
-    kernels::ScanResult scanned;
-    {
-        obs::TraceSpan span(obs::SpanKind::LayerScan);
-        scanned = kernels::scanChanges(input.data().data(), n, scan,
-                                       prev_indices_.data(), changes_);
-        span.args(n, scanned.changed);
-    }
-    fault::truncateChanges(LayerKind::Conv3D, changes_);
-    int64_t macs = 0;
-    if (!changes_.empty()) {
-        obs::TraceSpan span(obs::SpanKind::LayerApply);
-        span.args(static_cast<int64_t>(changes_.size()),
-                  rec.outputsTotal);
-        kernels::Conv3dGeometry geom;
-        geom.in_d = d;
-        geom.in_h = h;
-        geom.in_w = w;
-        geom.out_channels = layer.outChannels();
-        geom.out_d = out_shape.dim(1);
-        geom.out_h = out_shape.dim(2);
-        geom.out_w = out_shape.dim(3);
-        geom.kernel = layer.kernel();
-        geom.pad = layer.pad();
-        kernels::applyConvDeltas3d(changes_, geom,
-                                   layer.weights().data(),
-                                   prev_output_.data().data());
-        for (size_t c = 0; c < changes_.size(); ++c) {
-            const int32_t i = changes_.position(c);
-            macs += layer.affectedOutputs(input_shape_,
-                                          (i / (h * w)) % d,
-                                          (i / w) % h, i % w);
-        }
-    }
-    rec.inputsChanged = scanned.changed;
-    rec.inputsNearMatched = scanned.near_matched;
-    rec.nearMatchDrift =
-        kernels::nearMatchDriftShare(scan, scanned.near_matched);
-    rec.macsPerformed = macs;
-    return prev_output_;
+    return bufferedOutput();
 }
 
 } // namespace reuse

@@ -7,6 +7,12 @@
  * and the full previous output volume.  For every changed input
  * element, all output neurons whose receptive field covers it are
  * corrected by delta * weight; unchanged inputs are skipped entirely.
+ *
+ * The buffered output volume is channels-last (HWC for 2D, DHWC for
+ * 3D): every corrected window is one contiguous row of C_out floats,
+ * matching the input-major weight rows (the kernels' contract, see
+ * kernels/delta_kernels.h).  execute() returns the layer's usual
+ * channels-first tensor, transposed from the buffer.
  */
 
 #ifndef REUSE_DNN_CORE_CONV_REUSE_H
@@ -17,16 +23,14 @@
 #include "common/aligned.h"
 #include "core/exec_record.h"
 #include "kernels/change_list.h"
+#include "kernels/delta_kernels.h"
 #include "nn/conv2d.h"
 #include "nn/conv3d.h"
 #include "quant/linear_quantizer.h"
 
 namespace reuse {
 
-/**
- * Reuse state and incremental executor for a Conv2D or Conv3D layer.
- * Exactly one of the layer pointers is non-null.
- */
+/** Reuse state and incremental executor for a Conv2D or Conv3D layer. */
 class ConvReuseState
 {
   public:
@@ -78,25 +82,33 @@ class ConvReuseState
     bool debugCorruptBuffer(uint64_t seed);
 
   private:
-    Tensor executeConv2d(const Tensor &input, LayerExecRecord &rec);
-    Tensor executeConv3d(const Tensor &input, LayerExecRecord &rec);
+    /** Shared constructor: exactly one of the layers is non-null. */
+    ConvReuseState(const Conv2DLayer *conv2d, const Conv3DLayer *conv3d,
+                   const Layer &layer, Shape input_shape,
+                   LinearQuantizer quantizer, int32_t cluster_radius);
 
-    /**
-     * Runs the shared from-scratch path when no previous execution
-     * is buffered; returns true when it did (output in
-     * prev_output_).
-     */
-    bool firstExecution(const Tensor &input, LayerExecRecord &rec,
-                        const Layer &layer);
+    /** From-scratch execution into the buffer (no previous frame). */
+    void firstExecution(const Tensor &input, LayerExecRecord &rec);
+
+    /** Channels-first copy of the buffered output. */
+    Tensor bufferedOutput() const;
 
     const Conv2DLayer *conv2d_ = nullptr;
     const Conv3DLayer *conv3d_ = nullptr;
+    LayerKind kind_;
     Shape input_shape_;
+    /** Output shape, MAC count and delta geometry, fixed at build. */
+    Shape out_shape_;
+    int64_t macs_full_ = 0;
+    int64_t kernel_ = 0;
+    kernels::Conv2dGeometry geom2d_;
+    kernels::Conv3dGeometry geom3d_;
     LinearQuantizer quantizer_;
     int32_t cluster_radius_ = 0;
     bool has_prev_ = false;
     AlignedVector<int32_t> prev_indices_;
-    Tensor prev_output_;
+    /** Previous output volume, channels-last (HWC / DHWC). */
+    AlignedVector<float> prev_output_;
     /** Per-frame (position, delta) scratch, reused across frames. */
     kernels::ChangeList changes_;
 };

@@ -23,18 +23,23 @@ inferConv2d(const std::string &name, const Shape &input,
             int64_t in_channels, int64_t out_channels, int64_t kernel,
             int64_t stride)
 {
-    std::ostringstream oss;
     if (input.rank() != 3) {
+        std::ostringstream oss;
         oss << name << ": conv2d expects [C,H,W], got " << input.str();
-    } else if (input.dim(0) != in_channels) {
+        return InferredShape::fail(oss.str());
+    }
+    if (input.dim(0) != in_channels) {
+        std::ostringstream oss;
         oss << name << ": expected " << in_channels
             << " input channels, got " << input.dim(0);
-    } else if (input.dim(1) < kernel || input.dim(2) < kernel) {
+        return InferredShape::fail(oss.str());
+    }
+    if (input.dim(1) < kernel || input.dim(2) < kernel) {
+        std::ostringstream oss;
         oss << name << ": input " << input.str()
             << " smaller than kernel " << kernel;
-    }
-    if (!oss.str().empty())
         return InferredShape::fail(oss.str());
+    }
     const int64_t oh = (input.dim(1) - kernel) / stride + 1;
     const int64_t ow = (input.dim(2) - kernel) / stride + 1;
     return InferredShape::ok(Shape({out_channels, oh, ow}));
@@ -45,21 +50,26 @@ inferConv3d(const std::string &name, const Shape &input,
             int64_t in_channels, int64_t out_channels, int64_t kernel,
             int64_t pad)
 {
-    std::ostringstream oss;
     if (input.rank() != 4) {
+        std::ostringstream oss;
         oss << name << ": conv3d expects [C,D,H,W], got "
             << input.str();
-    } else if (input.dim(0) != in_channels) {
+        return InferredShape::fail(oss.str());
+    }
+    if (input.dim(0) != in_channels) {
+        std::ostringstream oss;
         oss << name << ": expected " << in_channels
             << " input channels, got " << input.dim(0);
-    } else if (input.dim(1) + 2 * pad < kernel ||
-               input.dim(2) + 2 * pad < kernel ||
-               input.dim(3) + 2 * pad < kernel) {
+        return InferredShape::fail(oss.str());
+    }
+    if (input.dim(1) + 2 * pad < kernel ||
+        input.dim(2) + 2 * pad < kernel ||
+        input.dim(3) + 2 * pad < kernel) {
+        std::ostringstream oss;
         oss << name << ": input " << input.str()
             << " smaller than kernel";
-    }
-    if (!oss.str().empty())
         return InferredShape::fail(oss.str());
+    }
     const int64_t od = input.dim(1) + 2 * pad - kernel + 1;
     const int64_t oh = input.dim(2) + 2 * pad - kernel + 1;
     const int64_t ow = input.dim(3) + 2 * pad - kernel + 1;

@@ -73,7 +73,7 @@ archRunnable(KernelArch arch)
 #endif
       case KernelArch::Avx512:
         // avx512f covers every instruction the kernels use (compare
-        // masks, compress-store, gather/scatter, roundscale); the
+        // masks, compress-store, masked loads/stores, roundscale); the
         // builtin also folds in the OS XSAVE state check.
 #if defined(__x86_64__) || defined(__i386__)
         return __builtin_cpu_supports("avx512f") != 0;

@@ -2,7 +2,7 @@
  * @file
  * Runtime CPUID dispatch for the hand-written SIMD reuse kernels.
  *
- * Every kernel entry point (scan, delta apply, conv scatter) exists
+ * Every kernel entry point (scan, delta apply, conv delta) exists
  * in several implementations; the one that runs is picked once per
  * process from (a) which translation units the build compiled
  * (REUSE_KERNELS_HAVE_* macros, set by src/kernels/CMakeLists.txt
@@ -29,7 +29,7 @@ namespace kernels {
  *             to the compiler's baseline ISA.
  *  - Neon:    128-bit NEON kernels (AArch64 builds only).
  *  - Avx2:    256-bit intrinsic kernels (movemask compaction).
- *  - Avx512:  512-bit intrinsic kernels (compress-store, scatter).
+ *  - Avx512:  512-bit intrinsic kernels (compress-store, masked rows).
  */
 enum class KernelArch { Scalar, Blocked, Neon, Avx2, Avx512 };
 

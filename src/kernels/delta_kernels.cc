@@ -17,6 +17,7 @@
 
 #include <algorithm>
 
+#include "kernels/conv_windows.h"
 #include "kernels/simd_kernels.h"
 
 namespace reuse {
@@ -206,85 +207,22 @@ gemv(const float *input, int64_t n, const float *weights,
 }
 
 // ---------------------------------------------------------------
-// Conv2D delta scatter.
+// Conv delta update (channels-last output, one row per window).
 // ---------------------------------------------------------------
 
 namespace {
 
-/**
- * Applies the whole change list to output channels [co_begin,
- * co_end).  Iterating channel blocks outermost keeps the touched
- * output lines of one block cached across spatially clustered
- * changes; per output element the changes still apply in ascending
- * change order, so the result is bit-identical to the scalar
- * reference.
- */
-void
-conv2dRange(const ChangeList &changes, const Conv2dGeometry &g,
-            const float *weights, int64_t co_begin, int64_t co_end,
-            float *out)
-{
-    const size_t k = changes.size();
-    const int32_t *__restrict pos = changes.positions();
-    const float *__restrict del = changes.deltas();
-    const int64_t hw = g.in_h * g.in_w;
-    const int64_t out_map = g.out_h * g.out_w;
-    for (int64_t co0 = co_begin; co0 < co_end; co0 += kConvCoBlock) {
-        const int64_t co1 = std::min(co_end, co0 + kConvCoBlock);
-        for (size_t c = 0; c < k; ++c) {
-            const int64_t i = pos[c];
-            const float d = del[c];
-            const int64_t ci = i / hw;
-            const int64_t y = (i / g.in_w) % g.in_h;
-            const int64_t x = i % g.in_w;
-            for (int64_t ky = 0; ky < g.kernel; ++ky) {
-                const int64_t ry = y - ky;
-                if (ry < 0 || ry % g.stride != 0)
-                    continue;
-                const int64_t oy = ry / g.stride;
-                if (oy >= g.out_h)
-                    continue;
-                for (int64_t kx = 0; kx < g.kernel; ++kx) {
-                    const int64_t rx = x - kx;
-                    if (rx < 0 || rx % g.stride != 0)
-                        continue;
-                    const int64_t ox = rx / g.stride;
-                    if (ox >= g.out_w)
-                        continue;
-                    const float *__restrict w_row =
-                        weights +
-                        ((ci * g.kernel + ky) * g.kernel + kx) *
-                            g.out_channels;
-                    float *__restrict dst =
-                        out + oy * g.out_w + ox;
-                    for (int64_t co = co0; co < co1; ++co)
-                        dst[co * out_map] += d * w_row[co];
-                }
-            }
-        }
+/** One window's row update, auto-vectorized to the baseline ISA. */
+struct BlockedRow {
+    int64_t c_out;
+
+    void operator()(float *__restrict dst,
+                    const float *__restrict w_row, float d) const
+    {
+        for (int64_t co = 0; co < c_out; ++co)
+            dst[co] += d * w_row[co];
     }
-}
-
-using Conv2dRangeFn = void (*)(const ChangeList &,
-                               const Conv2dGeometry &, const float *,
-                               int64_t, int64_t, float *);
-
-/**
- * AVX2/NEON have no scatter instruction, so only the AVX-512 conv
- * path is hand-written; every other non-scalar arch runs the
- * blocked form.
- */
-Conv2dRangeFn
-conv2dRangeFor(KernelArch arch)
-{
-#if defined(REUSE_KERNELS_HAVE_AVX512)
-    if (arch == KernelArch::Avx512)
-        return &applyConvDeltas2dAvx512;
-#else
-    (void)arch;
-#endif
-    return &conv2dRange;
-}
+};
 
 } // namespace
 
@@ -293,7 +231,8 @@ applyConvDeltas2dBlocked(const ChangeList &changes,
                          const Conv2dGeometry &g, const float *weights,
                          float *out)
 {
-    conv2dRange(changes, g, weights, 0, g.out_channels, out);
+    forEachConv2dWindow(changes, g, weights, out,
+                        BlockedRow{g.out_channels});
 }
 
 void
@@ -301,108 +240,28 @@ applyConvDeltas2d(const ChangeList &changes, const Conv2dGeometry &g,
                   const float *weights, float *out,
                   const DeltaDispatch &dispatch)
 {
-    if (changes.empty())
-        return;
-    if (dispatch.arch == KernelArch::Scalar) {
+    switch (dispatch.arch) {
+      case KernelArch::Scalar:
         applyConvDeltas2dScalar(changes, g, weights, out);
         return;
-    }
-    const Conv2dRangeFn range = conv2dRangeFor(dispatch.arch);
-    KernelThreadPool &pool = poolOf(dispatch);
-    // Upper bound of the work: every change touches at most K*K
-    // windows across all output channels.
-    const int64_t macs = static_cast<int64_t>(changes.size()) *
-                         g.kernel * g.kernel * g.out_channels;
-    if (shouldThread(dispatch, pool, macs)) {
-        pool.parallelFor(g.out_channels, kConvCoBlock,
-                         [&](int64_t begin, int64_t end) {
-                             range(changes, g, weights, begin, end,
-                                   out);
-                         });
-    } else {
-        range(changes, g, weights, 0, g.out_channels, out);
-    }
-}
-
-// ---------------------------------------------------------------
-// Conv3D delta scatter.
-// ---------------------------------------------------------------
-
-namespace {
-
-void
-conv3dRange(const ChangeList &changes, const Conv3dGeometry &g,
-            const float *weights, int64_t co_begin, int64_t co_end,
-            float *out)
-{
-    const size_t k = changes.size();
-    const int32_t *__restrict pos = changes.positions();
-    const float *__restrict del = changes.deltas();
-    const int64_t hw = g.in_h * g.in_w;
-    const int64_t dhw = g.in_d * hw;
-    const int64_t out_map = g.out_d * g.out_h * g.out_w;
-    for (int64_t co0 = co_begin; co0 < co_end; co0 += kConvCoBlock) {
-        const int64_t co1 = std::min(co_end, co0 + kConvCoBlock);
-        for (size_t c = 0; c < k; ++c) {
-            const int64_t i = pos[c];
-            const float dv = del[c];
-            const int64_t ci = i / dhw;
-            const int64_t z = (i / hw) % g.in_d;
-            const int64_t y = (i / g.in_w) % g.in_h;
-            const int64_t x = i % g.in_w;
-            for (int64_t kd = 0; kd < g.kernel; ++kd) {
-                const int64_t oz = z + g.pad - kd;
-                if (oz < 0 || oz >= g.out_d)
-                    continue;
-                for (int64_t ky = 0; ky < g.kernel; ++ky) {
-                    const int64_t oy = y + g.pad - ky;
-                    if (oy < 0 || oy >= g.out_h)
-                        continue;
-                    for (int64_t kx = 0; kx < g.kernel; ++kx) {
-                        const int64_t ox = x + g.pad - kx;
-                        if (ox < 0 || ox >= g.out_w)
-                            continue;
-                        const float *__restrict w_row =
-                            weights +
-                            (((ci * g.kernel + kd) * g.kernel + ky) *
-                                 g.kernel +
-                             kx) *
-                                g.out_channels;
-                        float *__restrict dst =
-                            out + (oz * g.out_h + oy) * g.out_w + ox;
-                        for (int64_t co = co0; co < co1; ++co)
-                            dst[co * out_map] += dv * w_row[co];
-                    }
-                }
-            }
-        }
-    }
-}
-
-using Conv3dRangeFn = void (*)(const ChangeList &,
-                               const Conv3dGeometry &, const float *,
-                               int64_t, int64_t, float *);
-
-Conv3dRangeFn
-conv3dRangeFor(KernelArch arch)
-{
 #if defined(REUSE_KERNELS_HAVE_AVX512)
-    if (arch == KernelArch::Avx512)
-        return &applyConvDeltas3dAvx512;
-#else
-    (void)arch;
+      case KernelArch::Avx512:
+        applyConvDeltas2dAvx512(changes, g, weights, out);
+        return;
 #endif
-    return &conv3dRange;
+      default:
+        applyConvDeltas2dBlocked(changes, g, weights, out);
+        return;
+    }
 }
-
-} // namespace
 
 void
 applyConvDeltas3dBlocked(const ChangeList &changes,
                          const Conv3dGeometry &g, const float *weights,
                          float *out)
 {
-    conv3dRange(changes, g, weights, 0, g.out_channels, out);
+    forEachConv3dWindow(changes, g, weights, out,
+                        BlockedRow{g.out_channels});
 }
 
 void
@@ -410,25 +269,76 @@ applyConvDeltas3d(const ChangeList &changes, const Conv3dGeometry &g,
                   const float *weights, float *out,
                   const DeltaDispatch &dispatch)
 {
-    if (changes.empty())
-        return;
-    if (dispatch.arch == KernelArch::Scalar) {
+    switch (dispatch.arch) {
+      case KernelArch::Scalar:
         applyConvDeltas3dScalar(changes, g, weights, out);
         return;
+#if defined(REUSE_KERNELS_HAVE_AVX512)
+      case KernelArch::Avx512:
+        applyConvDeltas3dAvx512(changes, g, weights, out);
+        return;
+#endif
+      default:
+        applyConvDeltas3dBlocked(changes, g, weights, out);
+        return;
     }
-    const Conv3dRangeFn range = conv3dRangeFor(dispatch.arch);
-    KernelThreadPool &pool = poolOf(dispatch);
-    const int64_t macs = static_cast<int64_t>(changes.size()) *
-                         g.kernel * g.kernel * g.kernel *
-                         g.out_channels;
-    if (shouldThread(dispatch, pool, macs)) {
-        pool.parallelFor(g.out_channels, kConvCoBlock,
-                         [&](int64_t begin, int64_t end) {
-                             range(changes, g, weights, begin, end,
-                                   out);
-                         });
-    } else {
-        range(changes, g, weights, 0, g.out_channels, out);
+}
+
+int64_t
+convDeltaMacs2d(const ChangeList &changes, const Conv2dGeometry &g)
+{
+    const size_t k = changes.size();
+    const int32_t *pos = changes.positions();
+    const int64_t hw = g.in_h * g.in_w;
+    int64_t windows = 0;
+    for (size_t c = 0; c < k; ++c) {
+        const int64_t r = pos[c] % hw;
+        const int64_t y = r / g.in_w;
+        const int64_t x = r - y * g.in_w;
+        windows +=
+            coveringOutputs(y, g.kernel, g.stride, 0, g.out_h).count() *
+            coveringOutputs(x, g.kernel, g.stride, 0, g.out_w).count();
+    }
+    return windows * g.out_channels;
+}
+
+int64_t
+convDeltaMacs3d(const ChangeList &changes, const Conv3dGeometry &g)
+{
+    const size_t k = changes.size();
+    const int32_t *pos = changes.positions();
+    const int64_t hw = g.in_h * g.in_w;
+    const int64_t dhw = g.in_d * hw;
+    int64_t windows = 0;
+    for (size_t c = 0; c < k; ++c) {
+        const int64_t r = pos[c] % dhw;
+        const int64_t z = r / hw;
+        const int64_t y = (r - z * hw) / g.in_w;
+        const int64_t x = r - z * hw - y * g.in_w;
+        windows +=
+            coveringOutputs(z, g.kernel, 1, g.pad, g.out_d).count() *
+            coveringOutputs(y, g.kernel, 1, g.pad, g.out_h).count() *
+            coveringOutputs(x, g.kernel, 1, g.pad, g.out_w).count();
+    }
+    return windows * g.out_channels;
+}
+
+void
+channelsLastToFirst(const float *src, int64_t spatial, int64_t channels,
+                    float *dst)
+{
+    // Tiles of kTile spatial positions: the tile's source rows stay
+    // cached while each channel's contiguous destination run is
+    // written.
+    constexpr int64_t kTile = 32;
+    for (int64_t s0 = 0; s0 < spatial; s0 += kTile) {
+        const int64_t s1 = std::min(spatial, s0 + kTile);
+        for (int64_t c = 0; c < channels; ++c) {
+            const float *__restrict in = src + c;
+            float *__restrict o = dst + c * spatial;
+            for (int64_t s = s0; s < s1; ++s)
+                o[s] = in[s * channels];
+        }
     }
 }
 

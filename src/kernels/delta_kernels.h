@@ -21,15 +21,17 @@
  * identical per-output-element order (separate mul + add, ascending
  * change order), so their results are bit-identical (fuzz-tested).
  * The dispatching entry points pick the implementation at runtime
- * (REUSE_KERNELS forces a family; see dispatch.h) and partition the
- * output range over the kernel thread pool when the update is large
- * enough (changed × outputs ≥ threshold), which also preserves
- * bit-exactness because chunk boundaries are deterministic and
- * disjoint.
+ * (REUSE_KERNELS forces a family; see dispatch.h).  The FC/LSTM
+ * apply and the GEMV also partition the output range over the
+ * kernel thread pool when the update is large enough (changed ×
+ * outputs ≥ threshold), which preserves bit-exactness because chunk
+ * boundaries are deterministic and disjoint.
  *
  * All kernels operate on raw pointers: weights are input-major
  * (weight(i, o) at w[i * m + o], the paper's interleaved Weights
  * Buffer layout), and the weight and output buffers must not alias.
+ * Conv outputs are channels-last (HWC / DHWC, channel fastest), so
+ * a conv window's output channels are contiguous like its weights.
  */
 
 #ifndef REUSE_DNN_KERNELS_DELTA_KERNELS_H
@@ -49,9 +51,6 @@ constexpr int64_t kDeltaBlockFloats = 1024;
 
 /** Thread-pool chunk: 4 blocks (16 KB) per unit of work. */
 constexpr int64_t kDeltaChunkFloats = 4 * kDeltaBlockFloats;
-
-/** Output-channel block of the conv delta kernels. */
-constexpr int64_t kConvCoBlock = 16;
 
 // ---------------------------------------------------------------
 // Fully-connected / LSTM-gate delta update:
@@ -100,13 +99,22 @@ void gemv(const float *input, int64_t n, const float *weights,
           const DeltaDispatch &dispatch = defaultDispatch());
 
 // ---------------------------------------------------------------
-// Convolution delta scatter: every output neuron whose receptive
+// Convolution delta update: every output neuron whose receptive
 // field covers a changed input is corrected by delta * weight.
 // Change positions are flat input indices (ci, y, x) / (ci, d, y, x)
 // in row-major order, as produced by scanChanges() over the input
-// volume.  The AVX-512 form gathers/scatters the strided per-channel
-// output columns; AVX2 and NEON have no scatter, so those archs run
-// the blocked form (see DESIGN.md §14 dispatch table).
+// volume.  The output buffer is channels-last: HWC for 2D,
+// out[(oy * out_w + ox) * C_out + co], and DHWC for 3D,
+// out[((oz * out_h + oy) * out_w + ox) * C_out + co].  One covered
+// window is then one contiguous row update
+// dst[0..C_out) += delta * w_row[0..C_out) against the input-major
+// weight row of the change's (ci, k...) offset.  The windows come
+// from a closed form (conv_windows.h).  AVX-512 runs a masked
+// unit-stride row; every other non-scalar arch runs the blocked
+// (auto-vectorized) row.  The conv kernels always run on the
+// caller: splitting an HWC row across threads would share cache
+// lines, and one layer's update is too small to amortize a pool
+// dispatch (see DESIGN.md §9).
 // ---------------------------------------------------------------
 
 /** Geometry of a 2D conv delta update (valid padding + stride). */
@@ -133,32 +141,28 @@ struct Conv3dGeometry {
     int64_t pad = 0;           ///< Symmetric zero padding.
 };
 
-/** Scalar reference: change-major per-window scatter. */
+/** Scalar reference: change-major row updates into the HWC output. */
 void applyConvDeltas2dScalar(const ChangeList &changes,
                              const Conv2dGeometry &g,
                              const float *weights, float *out);
 
-/**
- * Blocked form: sweeps the change list once per block of
- * kConvCoBlock output channels, so the touched output lines of a
- * channel block stay cached across spatially clustered changes.
- */
+/** Blocked form: the same row updates, auto-vectorized. */
 void applyConvDeltas2dBlocked(const ChangeList &changes,
                               const Conv2dGeometry &g,
                               const float *weights, float *out);
 
-/** Dispatched form (implementation choice + optional threading). */
+/** Dispatched form (implementation choice; runs on the caller). */
 void applyConvDeltas2d(const ChangeList &changes,
                        const Conv2dGeometry &g, const float *weights,
                        float *out,
                        const DeltaDispatch &dispatch = defaultDispatch());
 
-/** Scalar reference: change-major per-window scatter (3D). */
+/** Scalar reference: change-major row updates into the DHWC output. */
 void applyConvDeltas3dScalar(const ChangeList &changes,
                              const Conv3dGeometry &g,
                              const float *weights, float *out);
 
-/** Blocked form over output-channel blocks (3D). */
+/** Blocked form (3D). */
 void applyConvDeltas3dBlocked(const ChangeList &changes,
                               const Conv3dGeometry &g,
                               const float *weights, float *out);
@@ -168,6 +172,25 @@ void applyConvDeltas3d(const ChangeList &changes,
                        const Conv3dGeometry &g, const float *weights,
                        float *out,
                        const DeltaDispatch &dispatch = defaultDispatch());
+
+/**
+ * MACs the 2D delta update of `changes` performs: per change, the
+ * number of covered windows (valid oy times valid ox, in closed
+ * form) times C_out.  O(1) per change.
+ */
+int64_t convDeltaMacs2d(const ChangeList &changes,
+                        const Conv2dGeometry &g);
+
+/** MACs of the 3D delta update (valid oz * oy * ox * C_out). */
+int64_t convDeltaMacs3d(const ChangeList &changes,
+                        const Conv3dGeometry &g);
+
+/**
+ * Transposes a channels-last buffer `src` ([spatial][channels]) into
+ * the channels-first `dst` ([channels][spatial]).
+ */
+void channelsLastToFirst(const float *src, int64_t spatial,
+                         int64_t channels, float *dst);
 
 } // namespace kernels
 } // namespace reuse

@@ -7,15 +7,15 @@
  * stays inside the F subset so the runtime gate is a single feature
  * bit: compare-to-mask + masked compress-store replace the AVX2
  * shuffle-table compaction (writing exactly the changed lanes), and
- * the conv path uses hardware gather/scatter over the strided
- * per-channel output columns.  Bit-exactness contract: see
- * simd_kernels.h.
+ * the conv path updates unit-stride channels-last output rows with a
+ * masked tail.  Bit-exactness contract: see simd_kernels.h.
  */
 
 #include <immintrin.h>
 
 #include <algorithm>
 
+#include "kernels/conv_windows.h"
 #include "kernels/delta_kernels.h"
 #include "kernels/simd_kernels.h"
 
@@ -207,144 +207,63 @@ applyDeltasAvx512Range(const ChangeList &changes,
 }
 
 // ---------------------------------------------------------------
-// Conv delta scatter: the output is channel-major (one spatial
-// element sits out_map floats apart across channels) while the
-// weight row is contiguous in co, so the per-channel output column
-// is gathered, corrected, and scattered back 16 channels at a time.
-// Channel blocks stay outermost (same order as the blocked form) so
-// per output element the changes apply in ascending change order.
+// Conv delta update: the output is channels-last, so one covered
+// window is one contiguous row dst[0..C_out) += d * w_row[0..C_out),
+// 16 channels per vector with a masked tail.  Windows come in
+// ascending change order (conv_windows.h), so per output element the
+// changes apply in the scalar reference's order.
 // ---------------------------------------------------------------
+
+namespace {
+
+struct Avx512Row {
+    int64_t c_out;
+    __mmask16 tail;
+
+    explicit Avx512Row(int64_t c)
+        : c_out(c),
+          tail(static_cast<__mmask16>((1u << (c % 16)) - 1u))
+    {
+    }
+
+    void operator()(float *dst, const float *w_row, float d) const
+    {
+        const __m512 vd = _mm512_set1_ps(d);
+        int64_t co = 0;
+        for (; co + 16 <= c_out; co += 16) {
+            const __m512 acc = _mm512_add_ps(
+                _mm512_loadu_ps(dst + co),
+                _mm512_mul_ps(vd, _mm512_loadu_ps(w_row + co)));
+            _mm512_storeu_ps(dst + co, acc);
+        }
+        if (co < c_out) {
+            const __m512 acc = _mm512_add_ps(
+                _mm512_maskz_loadu_ps(tail, dst + co),
+                _mm512_mul_ps(vd,
+                              _mm512_maskz_loadu_ps(tail, w_row + co)));
+            _mm512_mask_storeu_ps(dst + co, tail, acc);
+        }
+    }
+};
+
+} // namespace
 
 void
 applyConvDeltas2dAvx512(const ChangeList &changes,
                         const Conv2dGeometry &g, const float *weights,
-                        int64_t co_begin, int64_t co_end, float *out)
+                        float *out)
 {
-    const size_t k = changes.size();
-    const int32_t *pos = changes.positions();
-    const float *del = changes.deltas();
-    const int64_t hw = g.in_h * g.in_w;
-    const int64_t out_map = g.out_h * g.out_w;
-    const __m512i lane = _mm512_setr_epi32(
-        0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
-    const __m512i vmap =
-        _mm512_set1_epi32(static_cast<int32_t>(out_map));
-    for (int64_t co0 = co_begin; co0 < co_end; co0 += kConvCoBlock) {
-        const int64_t co1 = std::min(co_end, co0 + kConvCoBlock);
-        const int64_t rem = co1 - co0;
-        const __mmask16 mask =
-            rem >= 16 ? static_cast<__mmask16>(0xffffu)
-                      : static_cast<__mmask16>((1u << rem) - 1u);
-        // offsets[lane] = (co0 + lane) * out_map, the gather/scatter
-        // stride of one output spatial element across channels.
-        const __m512i offsets = _mm512_mullo_epi32(
-            _mm512_add_epi32(
-                _mm512_set1_epi32(static_cast<int32_t>(co0)), lane),
-            vmap);
-        for (size_t c = 0; c < k; ++c) {
-            const int64_t i = pos[c];
-            const __m512 d = _mm512_set1_ps(del[c]);
-            const int64_t ci = i / hw;
-            const int64_t y = (i / g.in_w) % g.in_h;
-            const int64_t x = i % g.in_w;
-            for (int64_t ky = 0; ky < g.kernel; ++ky) {
-                const int64_t ry = y - ky;
-                if (ry < 0 || ry % g.stride != 0)
-                    continue;
-                const int64_t oy = ry / g.stride;
-                if (oy >= g.out_h)
-                    continue;
-                for (int64_t kx = 0; kx < g.kernel; ++kx) {
-                    const int64_t rx = x - kx;
-                    if (rx < 0 || rx % g.stride != 0)
-                        continue;
-                    const int64_t ox = rx / g.stride;
-                    if (ox >= g.out_w)
-                        continue;
-                    const float *w_row =
-                        weights +
-                        ((ci * g.kernel + ky) * g.kernel + kx) *
-                            g.out_channels;
-                    float *dst = out + oy * g.out_w + ox;
-                    const __m512 wv =
-                        _mm512_maskz_loadu_ps(mask, w_row + co0);
-                    __m512 acc = _mm512_mask_i32gather_ps(
-                        _mm512_setzero_ps(), mask, offsets, dst, 4);
-                    acc = _mm512_add_ps(acc, _mm512_mul_ps(d, wv));
-                    _mm512_mask_i32scatter_ps(dst, mask, offsets,
-                                              acc, 4);
-                }
-            }
-        }
-    }
+    forEachConv2dWindow(changes, g, weights, out,
+                        Avx512Row(g.out_channels));
 }
 
 void
 applyConvDeltas3dAvx512(const ChangeList &changes,
                         const Conv3dGeometry &g, const float *weights,
-                        int64_t co_begin, int64_t co_end, float *out)
+                        float *out)
 {
-    const size_t k = changes.size();
-    const int32_t *pos = changes.positions();
-    const float *del = changes.deltas();
-    const int64_t hw = g.in_h * g.in_w;
-    const int64_t dhw = g.in_d * hw;
-    const int64_t out_map = g.out_d * g.out_h * g.out_w;
-    const __m512i lane = _mm512_setr_epi32(
-        0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
-    const __m512i vmap =
-        _mm512_set1_epi32(static_cast<int32_t>(out_map));
-    for (int64_t co0 = co_begin; co0 < co_end; co0 += kConvCoBlock) {
-        const int64_t co1 = std::min(co_end, co0 + kConvCoBlock);
-        const int64_t rem = co1 - co0;
-        const __mmask16 mask =
-            rem >= 16 ? static_cast<__mmask16>(0xffffu)
-                      : static_cast<__mmask16>((1u << rem) - 1u);
-        const __m512i offsets = _mm512_mullo_epi32(
-            _mm512_add_epi32(
-                _mm512_set1_epi32(static_cast<int32_t>(co0)), lane),
-            vmap);
-        for (size_t c = 0; c < k; ++c) {
-            const int64_t i = pos[c];
-            const __m512 dv = _mm512_set1_ps(del[c]);
-            const int64_t ci = i / dhw;
-            const int64_t z = (i / hw) % g.in_d;
-            const int64_t y = (i / g.in_w) % g.in_h;
-            const int64_t x = i % g.in_w;
-            for (int64_t kd = 0; kd < g.kernel; ++kd) {
-                const int64_t oz = z + g.pad - kd;
-                if (oz < 0 || oz >= g.out_d)
-                    continue;
-                for (int64_t ky = 0; ky < g.kernel; ++ky) {
-                    const int64_t oy = y + g.pad - ky;
-                    if (oy < 0 || oy >= g.out_h)
-                        continue;
-                    for (int64_t kx = 0; kx < g.kernel; ++kx) {
-                        const int64_t ox = x + g.pad - kx;
-                        if (ox < 0 || ox >= g.out_w)
-                            continue;
-                        const float *w_row =
-                            weights +
-                            (((ci * g.kernel + kd) * g.kernel + ky) *
-                                 g.kernel +
-                             kx) *
-                                g.out_channels;
-                        float *dst =
-                            out + (oz * g.out_h + oy) * g.out_w + ox;
-                        const __m512 wv = _mm512_maskz_loadu_ps(
-                            mask, w_row + co0);
-                        __m512 acc = _mm512_mask_i32gather_ps(
-                            _mm512_setzero_ps(), mask, offsets, dst,
-                            4);
-                        acc = _mm512_add_ps(acc,
-                                            _mm512_mul_ps(dv, wv));
-                        _mm512_mask_i32scatter_ps(dst, mask, offsets,
-                                                  acc, 4);
-                    }
-                }
-            }
-        }
-    }
+    forEachConv3dWindow(changes, g, weights, out,
+                        Avx512Row(g.out_channels));
 }
 
 } // namespace kernels

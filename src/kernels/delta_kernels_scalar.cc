@@ -13,6 +13,8 @@
 
 #include "delta_kernels.h"
 
+#include "kernels/conv_windows.h"
+
 namespace reuse {
 namespace kernels {
 
@@ -46,44 +48,28 @@ gemvScalar(const float *input, int64_t n, const float *weights,
     }
 }
 
+namespace {
+
+/** One window's row update, one output channel at a time. */
+struct ScalarRow {
+    int64_t c_out;
+
+    void operator()(float *dst, const float *w_row, float d) const
+    {
+        for (int64_t co = 0; co < c_out; ++co)
+            dst[co] += d * w_row[co];
+    }
+};
+
+} // namespace
+
 void
 applyConvDeltas2dScalar(const ChangeList &changes,
                         const Conv2dGeometry &g, const float *weights,
                         float *out)
 {
-    const size_t k = changes.size();
-    const int64_t hw = g.in_h * g.in_w;
-    const int64_t out_map = g.out_h * g.out_w;
-    for (size_t c = 0; c < k; ++c) {
-        const int64_t i = changes.position(c);
-        const float d = changes.delta(c);
-        const int64_t ci = i / hw;
-        const int64_t y = (i / g.in_w) % g.in_h;
-        const int64_t x = i % g.in_w;
-        for (int64_t ky = 0; ky < g.kernel; ++ky) {
-            const int64_t ry = y - ky;
-            if (ry < 0 || ry % g.stride != 0)
-                continue;
-            const int64_t oy = ry / g.stride;
-            if (oy >= g.out_h)
-                continue;
-            for (int64_t kx = 0; kx < g.kernel; ++kx) {
-                const int64_t rx = x - kx;
-                if (rx < 0 || rx % g.stride != 0)
-                    continue;
-                const int64_t ox = rx / g.stride;
-                if (ox >= g.out_w)
-                    continue;
-                const float *w_row =
-                    weights +
-                    ((ci * g.kernel + ky) * g.kernel + kx) *
-                        g.out_channels;
-                float *dst = out + oy * g.out_w + ox;
-                for (int64_t co = 0; co < g.out_channels; ++co)
-                    dst[co * out_map] += d * w_row[co];
-            }
-        }
-    }
+    forEachConv2dWindow(changes, g, weights, out,
+                        ScalarRow{g.out_channels});
 }
 
 void
@@ -91,43 +77,8 @@ applyConvDeltas3dScalar(const ChangeList &changes,
                         const Conv3dGeometry &g, const float *weights,
                         float *out)
 {
-    const size_t k = changes.size();
-    const int64_t hw = g.in_h * g.in_w;
-    const int64_t dhw = g.in_d * hw;
-    const int64_t out_map = g.out_d * g.out_h * g.out_w;
-    for (size_t c = 0; c < k; ++c) {
-        const int64_t i = changes.position(c);
-        const float dv = changes.delta(c);
-        const int64_t ci = i / dhw;
-        const int64_t z = (i / hw) % g.in_d;
-        const int64_t y = (i / g.in_w) % g.in_h;
-        const int64_t x = i % g.in_w;
-        for (int64_t kd = 0; kd < g.kernel; ++kd) {
-            const int64_t oz = z + g.pad - kd;
-            if (oz < 0 || oz >= g.out_d)
-                continue;
-            for (int64_t ky = 0; ky < g.kernel; ++ky) {
-                const int64_t oy = y + g.pad - ky;
-                if (oy < 0 || oy >= g.out_h)
-                    continue;
-                for (int64_t kx = 0; kx < g.kernel; ++kx) {
-                    const int64_t ox = x + g.pad - kx;
-                    if (ox < 0 || ox >= g.out_w)
-                        continue;
-                    const float *w_row =
-                        weights +
-                        (((ci * g.kernel + kd) * g.kernel + ky) *
-                             g.kernel +
-                         kx) *
-                            g.out_channels;
-                    float *dst =
-                        out + (oz * g.out_h + oy) * g.out_w + ox;
-                    for (int64_t co = 0; co < g.out_channels; ++co)
-                        dst[co * out_map] += dv * w_row[co];
-                }
-            }
-        }
-    }
+    forEachConv3dWindow(changes, g, weights, out,
+                        ScalarRow{g.out_channels});
 }
 
 } // namespace kernels

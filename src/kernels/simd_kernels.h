@@ -21,6 +21,11 @@
  * fuse them into FMA, which the reference, built for the baseline
  * ISA, does not use), and per-element accumulation stays a
  * sequential chain in ascending change order.
+ *
+ * Buffer contract: the FC/LSTM kernels update a flat output vector;
+ * the conv kernels update a channels-last output volume (HWC for
+ * 2D, DHWC for 3D, channel index fastest), so every covered window
+ * is one contiguous row of C_out floats (see delta_kernels.h).
  */
 
 #ifndef REUSE_DNN_KERNELS_SIMD_KERNELS_H
@@ -75,21 +80,18 @@ void applyDeltasAvx512Range(const ChangeList &changes,
                             int64_t begin, int64_t end, float *out);
 
 /**
- * Conv delta scatter over output channels [co_begin, co_end):
- * the strided per-channel output column is gathered, corrected with
- * the contiguous weight row, and scattered back, 16 channels per
- * vector (masked at the block tail).
+ * Conv delta update into the channels-last (HWC) output: one masked
+ * unit-stride row update per covered window, 16 channels per
+ * vector.
  */
 void applyConvDeltas2dAvx512(const ChangeList &changes,
                              const Conv2dGeometry &g,
-                             const float *weights, int64_t co_begin,
-                             int64_t co_end, float *out);
+                             const float *weights, float *out);
 
-/** 3D variant of the gather/scatter conv delta apply. */
+/** 3D variant (DHWC output). */
 void applyConvDeltas3dAvx512(const ChangeList &changes,
                              const Conv3dGeometry &g,
-                             const float *weights, int64_t co_begin,
-                             int64_t co_end, float *out);
+                             const float *weights, float *out);
 
 #endif // REUSE_KERNELS_HAVE_AVX512
 

@@ -3,6 +3,7 @@
 #include "common/logging.h"
 #include "common/math_utils.h"
 #include "ir/op_shapes.h"
+#include "kernels/delta_kernels.h"
 
 namespace reuse {
 
@@ -35,46 +36,55 @@ Tensor
 Conv2DLayer::forward(const Tensor &input) const
 {
     const Shape out_shape = outputShape(input.shape());
+    AlignedVector<float> hwc(static_cast<size_t>(out_shape.numel()));
+    forwardChannelsLast(input, hwc.data());
+    Tensor out(out_shape);
+    kernels::channelsLastToFirst(hwc.data(),
+                                 out_shape.dim(1) * out_shape.dim(2),
+                                 out_channels_, out.data().data());
+    return out;
+}
+
+void
+Conv2DLayer::forwardChannelsLast(const Tensor &input, float *out) const
+{
+    const Shape out_shape = outputShape(input.shape());
     const int64_t h = input.shape().dim(1);
     const int64_t w = input.shape().dim(2);
     const int64_t oh = out_shape.dim(1);
     const int64_t ow = out_shape.dim(2);
+    const int64_t c_out = out_channels_;
+    const float *in = input.data().data();
 
-    Tensor out(out_shape);
-    for (int64_t co = 0; co < out_channels_; ++co) {
-        const float b = biases_[static_cast<size_t>(co)];
-        float *out_map = &out.data()[static_cast<size_t>(co * oh * ow)];
-        for (int64_t i = 0; i < oh * ow; ++i)
-            out_map[i] = b;
-    }
-
-    // Output-stationary loop nest; the inner loop over output filters
-    // walks contiguous weights thanks to the input-major layout.
-    for (int64_t ci = 0; ci < in_channels_; ++ci) {
-        const float *in_map =
-            &input.data()[static_cast<size_t>(ci * h * w)];
-        for (int64_t oy = 0; oy < oh; ++oy) {
-            for (int64_t ox = 0; ox < ow; ++ox) {
-                for (int64_t ky = 0; ky < kernel_; ++ky) {
-                    const int64_t iy = oy * stride_ + ky;
-                    for (int64_t kx = 0; kx < kernel_; ++kx) {
-                        const int64_t ix = ox * stride_ + kx;
-                        const float in_v = in_map[iy * w + ix];
+    // One output row (all ox, all filters) at a time, so it and the
+    // weight row of one (ci, ky, kx) stay cached while ox sweeps.
+    // Per output element the terms accumulate in ascending (ci, ky,
+    // kx) order after the bias, zero inputs skipped.
+    for (int64_t oy = 0; oy < oh; ++oy) {
+        float *out_row = out + oy * ow * c_out;
+        for (int64_t ox = 0; ox < ow; ++ox)
+            for (int64_t co = 0; co < c_out; ++co)
+                out_row[ox * c_out + co] =
+                    biases_[static_cast<size_t>(co)];
+        for (int64_t ci = 0; ci < in_channels_; ++ci) {
+            for (int64_t ky = 0; ky < kernel_; ++ky) {
+                const float *in_row =
+                    in + (ci * h + oy * stride_ + ky) * w;
+                for (int64_t kx = 0; kx < kernel_; ++kx) {
+                    const float *__restrict w_row =
+                        &weights_[weightIndex(ci, 0, ky, kx)];
+                    for (int64_t ox = 0; ox < ow; ++ox) {
+                        const float in_v = in_row[ox * stride_ + kx];
                         if (in_v == 0.0f)
                             continue;
-                        const float *w_row =
-                            &weights_[weightIndex(ci, 0, ky, kx)];
-                        for (int64_t co = 0; co < out_channels_; ++co) {
-                            out.data()[static_cast<size_t>(
-                                (co * oh + oy) * ow + ox)] +=
-                                in_v * w_row[co];
-                        }
+                        float *__restrict dst = out_row + ox * c_out;
+                        for (int64_t co = 0; co < c_out; ++co)
+                            dst[co] += in_v * w_row[co];
                     }
                 }
             }
         }
     }
-    return out;
 }
 
 int64_t
@@ -89,64 +99,6 @@ Conv2DLayer::macCount(const Shape &input) const
 {
     const Shape out_shape = outputShape(input);
     return out_shape.numel() * in_channels_ * kernel_ * kernel_;
-}
-
-void
-Conv2DLayer::applyDelta(const Shape &input_shape, int64_t ci, int64_t y,
-                        int64_t x, float delta, Tensor &out) const
-{
-    const Shape out_shape = outputShape(input_shape);
-    REUSE_ASSERT(out.shape() == out_shape,
-                 name() << ": output buffer shape mismatch");
-    const int64_t oh = out_shape.dim(1);
-    const int64_t ow = out_shape.dim(2);
-
-    // Output (oy, ox) with kernel offset (ky, kx) reads input
-    // (oy*stride + ky, ox*stride + kx); invert to find all outputs
-    // covering the changed pixel.
-    for (int64_t ky = 0; ky < kernel_; ++ky) {
-        const int64_t ry = y - ky;
-        if (ry < 0 || ry % stride_ != 0)
-            continue;
-        const int64_t oy = ry / stride_;
-        if (oy >= oh)
-            continue;
-        for (int64_t kx = 0; kx < kernel_; ++kx) {
-            const int64_t rx = x - kx;
-            if (rx < 0 || rx % stride_ != 0)
-                continue;
-            const int64_t ox = rx / stride_;
-            if (ox >= ow)
-                continue;
-            const float *w_row = &weights_[weightIndex(ci, 0, ky, kx)];
-            for (int64_t co = 0; co < out_channels_; ++co) {
-                out.data()[static_cast<size_t>((co * oh + oy) * ow +
-                                               ox)] += delta * w_row[co];
-            }
-        }
-    }
-}
-
-int64_t
-Conv2DLayer::affectedOutputs(const Shape &input_shape, int64_t y,
-                             int64_t x) const
-{
-    const Shape out_shape = outputShape(input_shape);
-    const int64_t oh = out_shape.dim(1);
-    const int64_t ow = out_shape.dim(2);
-    int64_t positions = 0;
-    for (int64_t ky = 0; ky < kernel_; ++ky) {
-        const int64_t ry = y - ky;
-        if (ry < 0 || ry % stride_ != 0 || ry / stride_ >= oh)
-            continue;
-        for (int64_t kx = 0; kx < kernel_; ++kx) {
-            const int64_t rx = x - kx;
-            if (rx < 0 || rx % stride_ != 0 || rx / stride_ >= ow)
-                continue;
-            ++positions;
-        }
-    }
-    return positions * out_channels_;
 }
 
 } // namespace reuse

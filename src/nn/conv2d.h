@@ -6,7 +6,9 @@
  * Weights are stored input-channel-major per kernel position so the
  * set of weights touched by one input pixel (all output filters at one
  * kernel offset) is contiguous, matching the accelerator's interleaved
- * weight layout (Sec. IV-C).
+ * weight layout (Sec. IV-C).  Outputs are accumulated channels-last
+ * (HWC), so each multiply-accumulate row over the output filters is
+ * unit-stride in both the weights and the outputs.
  */
 
 #ifndef REUSE_DNN_NN_CONV2D_H
@@ -69,20 +71,13 @@ class Conv2DLayer : public Layer
     const AlignedVector<float> &biases() const { return biases_; }
 
     /**
-     * Applies the delta-correction for a single changed input pixel
-     * (ci, y, x): every output neuron whose receptive field covers the
-     * pixel is corrected by delta * w.  `out` must hold the previous
-     * output of shape outputShape(input_shape).
+     * Computes the output channels-last into `out`:
+     * out[(oy * W' + ox) * C_out + co], outputShape().numel() floats.
+     * forward() is this plus a transpose to [C_out, H', W']; the
+     * reuse state keeps its buffer in this layout (see
+     * core/conv_reuse.h).
      */
-    void applyDelta(const Shape &input_shape, int64_t ci, int64_t y,
-                    int64_t x, float delta, Tensor &out) const;
-
-    /**
-     * Number of output neurons affected by one input pixel at (y, x),
-     * i.e. the number of MACs a changed input costs in reuse mode.
-     */
-    int64_t affectedOutputs(const Shape &input_shape, int64_t y,
-                            int64_t x) const;
+    void forwardChannelsLast(const Tensor &input, float *out) const;
 
   private:
     size_t weightIndex(int64_t ci, int64_t co, int64_t ky,

@@ -1,7 +1,10 @@
 #include "conv3d.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "ir/op_shapes.h"
+#include "kernels/delta_kernels.h"
 
 namespace reuse {
 
@@ -34,59 +37,67 @@ Tensor
 Conv3DLayer::forward(const Tensor &input) const
 {
     const Shape out_shape = outputShape(input.shape());
+    AlignedVector<float> dhwc(static_cast<size_t>(out_shape.numel()));
+    forwardChannelsLast(input, dhwc.data());
+    Tensor out(out_shape);
+    kernels::channelsLastToFirst(
+        dhwc.data(), out_shape.dim(1) * out_shape.dim(2) * out_shape.dim(3),
+        out_channels_, out.data().data());
+    return out;
+}
+
+void
+Conv3DLayer::forwardChannelsLast(const Tensor &input, float *out) const
+{
+    const Shape out_shape = outputShape(input.shape());
     const int64_t d = input.shape().dim(1);
     const int64_t h = input.shape().dim(2);
     const int64_t w = input.shape().dim(3);
     const int64_t od = out_shape.dim(1);
     const int64_t oh = out_shape.dim(2);
     const int64_t ow = out_shape.dim(3);
+    const int64_t c_out = out_channels_;
+    const float *in = input.data().data();
 
-    Tensor out(out_shape);
-    for (int64_t co = 0; co < out_channels_; ++co) {
-        float *out_vol =
-            &out.data()[static_cast<size_t>(co * od * oh * ow)];
-        const float b = biases_[static_cast<size_t>(co)];
-        for (int64_t i = 0; i < od * oh * ow; ++i)
-            out_vol[i] = b;
-    }
-
-    // Input-stationary loop nest: for every input voxel, scatter its
-    // contribution to all covering outputs.  This is the dataflow the
-    // accelerator uses (Sec. IV-C) and lets forward() and applyDelta()
-    // share the exact same arithmetic.
-    for (int64_t ci = 0; ci < in_channels_; ++ci) {
-        const float *in_vol =
-            &input.data()[static_cast<size_t>(ci * d * h * w)];
-        for (int64_t iz = 0; iz < d; ++iz) {
-            for (int64_t iy = 0; iy < h; ++iy) {
-                for (int64_t ix = 0; ix < w; ++ix) {
-                    const float in_v =
-                        in_vol[(iz * h + iy) * w + ix];
-                    if (in_v == 0.0f)
+    // One output row (all ox, all filters) at a time; padded taps
+    // are skipped by clipping the kernel and ox ranges.  Per output
+    // element the terms accumulate in ascending (ci, kd, ky, kx)
+    // order after the bias, zero inputs skipped.
+    for (int64_t oz = 0; oz < od; ++oz) {
+        for (int64_t oy = 0; oy < oh; ++oy) {
+            float *out_row = out + (oz * oh + oy) * ow * c_out;
+            for (int64_t ox = 0; ox < ow; ++ox)
+                for (int64_t co = 0; co < c_out; ++co)
+                    out_row[ox * c_out + co] =
+                        biases_[static_cast<size_t>(co)];
+            for (int64_t ci = 0; ci < in_channels_; ++ci) {
+                for (int64_t kd = 0; kd < kernel_; ++kd) {
+                    const int64_t iz = oz - pad_ + kd;
+                    if (iz < 0 || iz >= d)
                         continue;
-                    for (int64_t kd = 0; kd < kernel_; ++kd) {
-                        const int64_t oz = iz + pad_ - kd;
-                        if (oz < 0 || oz >= od)
+                    for (int64_t ky = 0; ky < kernel_; ++ky) {
+                        const int64_t iy = oy - pad_ + ky;
+                        if (iy < 0 || iy >= h)
                             continue;
-                        for (int64_t ky = 0; ky < kernel_; ++ky) {
-                            const int64_t oy = iy + pad_ - ky;
-                            if (oy < 0 || oy >= oh)
-                                continue;
-                            for (int64_t kx = 0; kx < kernel_; ++kx) {
-                                const int64_t ox = ix + pad_ - kx;
-                                if (ox < 0 || ox >= ow)
+                        const float *in_row =
+                            in + ((ci * d + iz) * h + iy) * w;
+                        for (int64_t kx = 0; kx < kernel_; ++kx) {
+                            const float *__restrict w_row = &weights_
+                                [weightIndex(ci, 0, kd, ky, kx)];
+                            // ix = ox - pad + kx must lie in [0, w).
+                            const int64_t ox0 =
+                                std::max<int64_t>(0, pad_ - kx);
+                            const int64_t ox1 =
+                                std::min(ow, w + pad_ - kx);
+                            for (int64_t ox = ox0; ox < ox1; ++ox) {
+                                const float in_v =
+                                    in_row[ox - pad_ + kx];
+                                if (in_v == 0.0f)
                                     continue;
-                                const float *w_row = &weights_
-                                    [weightIndex(ci, 0, kd, ky, kx)];
-                                float *out_base = &out.data()
-                                    [static_cast<size_t>(
-                                        ((oz)*oh + oy) * ow + ox)];
-                                for (int64_t co = 0;
-                                     co < out_channels_; ++co) {
-                                    out_base[static_cast<size_t>(
-                                        co * od * oh * ow)] +=
-                                        in_v * w_row[co];
-                                }
+                                float *__restrict dst =
+                                    out_row + ox * c_out;
+                                for (int64_t co = 0; co < c_out; ++co)
+                                    dst[co] += in_v * w_row[co];
                             }
                         }
                     }
@@ -94,7 +105,6 @@ Conv3DLayer::forward(const Tensor &input) const
             }
         }
     }
-    return out;
 }
 
 int64_t
@@ -110,71 +120,6 @@ Conv3DLayer::macCount(const Shape &input) const
     const Shape out_shape = outputShape(input);
     return out_shape.numel() * in_channels_ * kernel_ * kernel_ *
            kernel_;
-}
-
-void
-Conv3DLayer::applyDelta(const Shape &input_shape, int64_t ci, int64_t d,
-                        int64_t y, int64_t x, float delta,
-                        Tensor &out) const
-{
-    const Shape out_shape = outputShape(input_shape);
-    REUSE_ASSERT(out.shape() == out_shape,
-                 name() << ": output buffer shape mismatch");
-    const int64_t od = out_shape.dim(1);
-    const int64_t oh = out_shape.dim(2);
-    const int64_t ow = out_shape.dim(3);
-
-    for (int64_t kd = 0; kd < kernel_; ++kd) {
-        const int64_t oz = d + pad_ - kd;
-        if (oz < 0 || oz >= od)
-            continue;
-        for (int64_t ky = 0; ky < kernel_; ++ky) {
-            const int64_t oy = y + pad_ - ky;
-            if (oy < 0 || oy >= oh)
-                continue;
-            for (int64_t kx = 0; kx < kernel_; ++kx) {
-                const int64_t ox = x + pad_ - kx;
-                if (ox < 0 || ox >= ow)
-                    continue;
-                const float *w_row =
-                    &weights_[weightIndex(ci, 0, kd, ky, kx)];
-                float *out_base = &out.data()[static_cast<size_t>(
-                    (oz * oh + oy) * ow + ox)];
-                for (int64_t co = 0; co < out_channels_; ++co) {
-                    out_base[static_cast<size_t>(co * od * oh * ow)] +=
-                        delta * w_row[co];
-                }
-            }
-        }
-    }
-}
-
-int64_t
-Conv3DLayer::affectedOutputs(const Shape &input_shape, int64_t d,
-                             int64_t y, int64_t x) const
-{
-    const Shape out_shape = outputShape(input_shape);
-    const int64_t od = out_shape.dim(1);
-    const int64_t oh = out_shape.dim(2);
-    const int64_t ow = out_shape.dim(3);
-    int64_t positions = 0;
-    for (int64_t kd = 0; kd < kernel_; ++kd) {
-        const int64_t oz = d + pad_ - kd;
-        if (oz < 0 || oz >= od)
-            continue;
-        for (int64_t ky = 0; ky < kernel_; ++ky) {
-            const int64_t oy = y + pad_ - ky;
-            if (oy < 0 || oy >= oh)
-                continue;
-            for (int64_t kx = 0; kx < kernel_; ++kx) {
-                const int64_t ox = x + pad_ - kx;
-                if (ox < 0 || ox >= ow)
-                    continue;
-                ++positions;
-            }
-        }
-    }
-    return positions * out_channels_;
 }
 
 } // namespace reuse

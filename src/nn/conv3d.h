@@ -6,7 +6,8 @@
  * Input layout is [C, D, H, W]: feature maps, temporal depth, height,
  * width.  Weights follow the same input-major interleaving as the
  * other layers: all output filters for one (ci, kd, ky, kx) position
- * are contiguous.
+ * are contiguous.  Outputs are accumulated channels-last (DHWC) so
+ * the filters of one output voxel are contiguous too.
  */
 
 #ifndef REUSE_DNN_NN_CONV3D_H
@@ -55,15 +56,12 @@ class Conv3DLayer : public Layer
     const AlignedVector<float> &biases() const { return biases_; }
 
     /**
-     * Delta-correction for one changed input voxel (ci, d, y, x):
-     * corrects every output neuron whose receptive field covers it.
+     * Computes the output channels-last into `out`:
+     * out[((oz * H' + oy) * W' + ox) * C_out + co],
+     * outputShape().numel() floats.  forward() is this plus a
+     * transpose to [C_out, D', H', W'].
      */
-    void applyDelta(const Shape &input_shape, int64_t ci, int64_t d,
-                    int64_t y, int64_t x, float delta, Tensor &out) const;
-
-    /** Output neurons affected by a change of input voxel (d, y, x). */
-    int64_t affectedOutputs(const Shape &input_shape, int64_t d,
-                            int64_t y, int64_t x) const;
+    void forwardChannelsLast(const Tensor &input, float *out) const;
 
   private:
     size_t weightIndex(int64_t ci, int64_t co, int64_t kd, int64_t ky,

@@ -53,19 +53,4 @@ FullyConnectedLayer::macCount(const Shape &input) const
     return inputs_ * outputs_;
 }
 
-void
-FullyConnectedLayer::applyDelta(int64_t input_index, float delta,
-                                AlignedVector<float> &outputs) const
-{
-    REUSE_ASSERT(input_index >= 0 && input_index < inputs_,
-                 name() << ": delta input index " << input_index
-                        << " out of range");
-    REUSE_ASSERT(static_cast<int64_t>(outputs.size()) == outputs_,
-                 name() << ": output buffer size mismatch");
-    const float *w_row =
-        &weights_[static_cast<size_t>(input_index * outputs_)];
-    for (int64_t o = 0; o < outputs_; ++o)
-        outputs[static_cast<size_t>(o)] += delta * w_row[o];
-}
-
 } // namespace reuse

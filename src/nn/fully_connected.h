@@ -68,14 +68,6 @@ class FullyConnectedLayer : public Layer
     /** Mutable bias vector. */
     AlignedVector<float> &biases() { return biases_; }
 
-    /**
-     * Applies the delta-correction of Eq. 10 for a single changed
-     * input: out[o] += delta * w(i, o) for all o.  Exposed here so the
-     * reuse engine and the LSTM cell share one implementation.
-     */
-    void applyDelta(int64_t input_index, float delta,
-                    AlignedVector<float> &outputs) const;
-
   private:
     int64_t inputs_;
     int64_t outputs_;

@@ -87,11 +87,16 @@ TEST(ConvReuse2D, PartialChangeCountsAffectedMacs)
     in2.at({0, 5, 5}) = 1.0f;   // one interior pixel changes
     state.execute(in2, rec);
     EXPECT_EQ(rec.inputsChanged, 1);
-    EXPECT_EQ(rec.macsPerformed,
-              conv.affectedOutputs(in_shape, 5, 5));
     // Interior pixel of a 3x3 stride-1 conv touches 9 positions x 2
     // filters.
     EXPECT_EQ(rec.macsPerformed, 18);
+
+    // Corner pixel: one window.
+    Tensor in3 = in;
+    in3.at({0, 0, 9}) = 1.0f;
+    state.execute(in3, rec);
+    EXPECT_EQ(rec.inputsChanged, 2);
+    EXPECT_EQ(rec.macsPerformed, 18 + 2);
 }
 
 TEST(ConvReuse3D, MatchesFromScratchOverStream)

@@ -293,7 +293,7 @@ TEST(ConvDeltas2d, BlockedMatchesScalarBitExact)
 {
     Rng rng(110);
     // Geometries chosen so out_channels is not a multiple of the
-    // channel block (16): 1, 3, 17, 33.
+    // vector width (16): 1, 3, 17, 33.
     struct Case {
         int64_t c_in, h, w, c_out, kernel, stride;
     };
@@ -372,6 +372,226 @@ TEST(ConvDeltas3d, BlockedMatchesScalarBitExact)
                                               blocked.data());
             ASSERT_EQ(scalar, blocked)
                 << "c_out=" << c.c_out << " fraction=" << fraction;
+        }
+    }
+}
+
+/**
+ * Independent channels-last (HWC) reference for the 2D conv delta
+ * update: for every change in order, scan *all* output windows and
+ * correct the ones that cover the changed pixel.
+ */
+void
+windowScanConv2d(const ChangeList &changes, const Conv2dGeometry &g,
+                 const float *weights, float *out)
+{
+    const int64_t hw = g.in_h * g.in_w;
+    for (size_t c = 0; c < changes.size(); ++c) {
+        const int64_t i = changes.position(c);
+        const int64_t ci = i / hw;
+        const int64_t y = (i / g.in_w) % g.in_h;
+        const int64_t x = i % g.in_w;
+        for (int64_t oy = 0; oy < g.out_h; ++oy) {
+            for (int64_t ox = 0; ox < g.out_w; ++ox) {
+                const int64_t ky = y - oy * g.stride;
+                const int64_t kx = x - ox * g.stride;
+                if (ky < 0 || ky >= g.kernel || kx < 0 || kx >= g.kernel)
+                    continue;
+                for (int64_t co = 0; co < g.out_channels; ++co)
+                    out[(oy * g.out_w + ox) * g.out_channels + co] +=
+                        changes.delta(c) *
+                        weights[((ci * g.kernel + ky) * g.kernel + kx) *
+                                    g.out_channels +
+                                co];
+            }
+        }
+    }
+}
+
+/** DHWC counterpart of windowScanConv2d (stride 1, padded). */
+void
+windowScanConv3d(const ChangeList &changes, const Conv3dGeometry &g,
+                 const float *weights, float *out)
+{
+    const int64_t k = g.kernel;
+    const int64_t hw = g.in_h * g.in_w;
+    const int64_t dhw = g.in_d * hw;
+    for (size_t c = 0; c < changes.size(); ++c) {
+        const int64_t i = changes.position(c);
+        const int64_t ci = i / dhw;
+        const int64_t z = (i / hw) % g.in_d;
+        const int64_t y = (i / g.in_w) % g.in_h;
+        const int64_t x = i % g.in_w;
+        for (int64_t oz = 0; oz < g.out_d; ++oz) {
+            for (int64_t oy = 0; oy < g.out_h; ++oy) {
+                for (int64_t ox = 0; ox < g.out_w; ++ox) {
+                    const int64_t kd = z + g.pad - oz;
+                    const int64_t ky = y + g.pad - oy;
+                    const int64_t kx = x + g.pad - ox;
+                    if (kd < 0 || kd >= k || ky < 0 || ky >= k ||
+                        kx < 0 || kx >= k)
+                        continue;
+                    for (int64_t co = 0; co < g.out_channels; ++co)
+                        out[((oz * g.out_h + oy) * g.out_w + ox) *
+                                g.out_channels +
+                            co] +=
+                            changes.delta(c) *
+                            weights[(((ci * k + kd) * k + ky) * k + kx) *
+                                        g.out_channels +
+                                    co];
+                }
+            }
+        }
+    }
+}
+
+TEST(ConvDeltas2d, ScalarMatchesWindowScanBitExact)
+{
+    Rng rng(112);
+    for (int trial = 0; trial < 30; ++trial) {
+        Conv2dGeometry g;
+        g.kernel = rng.uniformInt(1, 5);
+        g.stride = rng.uniformInt(1, 6);
+        g.in_h = rng.uniformInt(g.kernel, g.kernel + 11);
+        g.in_w = rng.uniformInt(g.kernel, g.kernel + 11);
+        g.out_channels = rng.uniformInt(1, 35);
+        g.out_h = (g.in_h - g.kernel) / g.stride + 1;
+        g.out_w = (g.in_w - g.kernel) / g.stride + 1;
+        const int64_t c_in = rng.uniformInt(1, 3);
+        const std::vector<float> weights = randomVector(
+            static_cast<size_t>(c_in * g.kernel * g.kernel *
+                                g.out_channels),
+            rng);
+        const std::vector<float> base = randomVector(
+            static_cast<size_t>(g.out_channels * g.out_h * g.out_w),
+            rng);
+        const ChangeList changes =
+            makeChanges(c_in * g.in_h * g.in_w, 0.3, rng);
+        std::vector<float> want = base;
+        std::vector<float> got = base;
+        windowScanConv2d(changes, g, weights.data(), want.data());
+        kernels::applyConvDeltas2dScalar(changes, g, weights.data(),
+                                         got.data());
+        ASSERT_EQ(want, got) << "trial " << trial;
+    }
+}
+
+TEST(ConvDeltas3d, ScalarMatchesWindowScanBitExact)
+{
+    Rng rng(113);
+    for (int trial = 0; trial < 20; ++trial) {
+        Conv3dGeometry g;
+        g.kernel = rng.uniformInt(1, 3);
+        g.pad = rng.uniformInt(0, g.kernel);
+        g.in_d = rng.uniformInt(g.kernel, g.kernel + 3);
+        g.in_h = rng.uniformInt(g.kernel, g.kernel + 5);
+        g.in_w = rng.uniformInt(g.kernel, g.kernel + 5);
+        g.out_channels = rng.uniformInt(1, 20);
+        g.out_d = g.in_d + 2 * g.pad - g.kernel + 1;
+        g.out_h = g.in_h + 2 * g.pad - g.kernel + 1;
+        g.out_w = g.in_w + 2 * g.pad - g.kernel + 1;
+        const int64_t c_in = rng.uniformInt(1, 3);
+        const std::vector<float> weights = randomVector(
+            static_cast<size_t>(c_in * g.kernel * g.kernel * g.kernel *
+                                g.out_channels),
+            rng);
+        const std::vector<float> base = randomVector(
+            static_cast<size_t>(g.out_channels * g.out_d * g.out_h *
+                                g.out_w),
+            rng);
+        const ChangeList changes =
+            makeChanges(c_in * g.in_d * g.in_h * g.in_w, 0.3, rng);
+        std::vector<float> want = base;
+        std::vector<float> got = base;
+        windowScanConv3d(changes, g, weights.data(), want.data());
+        kernels::applyConvDeltas3dScalar(changes, g, weights.data(),
+                                         got.data());
+        ASSERT_EQ(want, got) << "trial " << trial;
+    }
+}
+
+TEST(ConvDeltaMacs, ClosedFormMatchesEnumerationSweep2d)
+{
+    // Every pixel of every geometry, borders and uncovered rows
+    // (stride > K) included.
+    for (int64_t k = 1; k <= 5; ++k) {
+        for (int64_t stride = 1; stride <= 6; ++stride) {
+            for (const int64_t h : {k, k + 1, k + 4, k + 9}) {
+                const int64_t w = h + 3;
+                Conv2dGeometry g;
+                g.in_h = h;
+                g.in_w = w;
+                g.out_channels = 3;
+                g.out_h = (h - k) / stride + 1;
+                g.out_w = (w - k) / stride + 1;
+                g.kernel = k;
+                g.stride = stride;
+                for (int64_t y = 0; y < h; ++y) {
+                    for (int64_t x = 0; x < w; ++x) {
+                        int64_t want = 0;
+                        for (int64_t oy = 0; oy < g.out_h; ++oy)
+                            for (int64_t ox = 0; ox < g.out_w; ++ox)
+                                want += (oy * stride <= y &&
+                                         y < oy * stride + k &&
+                                         ox * stride <= x &&
+                                         x < ox * stride + k)
+                                            ? 3
+                                            : 0;
+                        ChangeList one;
+                        // Second input channel: the count must not
+                        // depend on ci.
+                        one.push(static_cast<int32_t>(h * w + y * w + x),
+                                 1.0f);
+                        ASSERT_EQ(kernels::convDeltaMacs2d(one, g), want)
+                            << "k=" << k << " stride=" << stride
+                            << " h=" << h << " y=" << y << " x=" << x;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(ConvDeltaMacs, ClosedFormMatchesEnumerationSweep3d)
+{
+    for (int64_t k = 1; k <= 4; ++k) {
+        for (int64_t pad = 0; pad <= k; ++pad) {
+            Conv3dGeometry g;
+            g.in_d = k + 1;
+            g.in_h = k + 2;
+            g.in_w = k + 3;
+            g.out_channels = 2;
+            g.out_d = g.in_d + 2 * pad - k + 1;
+            g.out_h = g.in_h + 2 * pad - k + 1;
+            g.out_w = g.in_w + 2 * pad - k + 1;
+            g.kernel = k;
+            g.pad = pad;
+            auto covering = [&](int64_t i, int64_t extent) {
+                int64_t n = 0;
+                for (int64_t o = 0; o < extent; ++o)
+                    n += (o - pad <= i && i < o - pad + k) ? 1 : 0;
+                return n;
+            };
+            ChangeList all;
+            int64_t want_all = 0;
+            for (int64_t z = 0; z < g.in_d; ++z) {
+                for (int64_t y = 0; y < g.in_h; ++y) {
+                    for (int64_t x = 0; x < g.in_w; ++x) {
+                        const int64_t want = covering(z, g.out_d) *
+                                             covering(y, g.out_h) *
+                                             covering(x, g.out_w) * 2;
+                        const int32_t pos = static_cast<int32_t>(
+                            (z * g.in_h + y) * g.in_w + x);
+                        ChangeList one;
+                        one.push(pos, 1.0f);
+                        ASSERT_EQ(kernels::convDeltaMacs3d(one, g), want)
+                            << "k=" << k << " pad=" << pad;
+                        all.push(pos, 1.0f);
+                        want_all += want;
+                    }
+                }
+            }
+            EXPECT_EQ(kernels::convDeltaMacs3d(all, g), want_all);
         }
     }
 }

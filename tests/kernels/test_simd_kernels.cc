@@ -435,45 +435,56 @@ TEST_P(SimdApply, GemvMatchesScalar)
     }
 }
 
+// The conv kernels update channels-last (HWC / DHWC) outputs.  The
+// dispatched form must match the scalar reference on float bits
+// whether or not the dispatch allows threading.
+
 TEST_P(SimdApply, Conv2dMatchesScalar)
 {
     const KernelArch arch = GetParam();
     if (!archCompiled(arch) || !archRunnable(arch))
         GTEST_SKIP() << archName(arch) << " not available";
-    DeltaDispatch dispatch;
-    dispatch.arch = arch;
-    dispatch.parallel_mac_threshold = -1;
     Rng rng(0xc02d);
-    for (const int64_t co : {1, 3, 16, 17, 33}) {
-        Conv2dGeometry g;
-        g.in_h = 9;
-        g.in_w = 11;
-        g.kernel = 3;
-        g.stride = 2;
-        g.out_channels = co;
-        g.out_h = (g.in_h - g.kernel) / g.stride + 1;
-        g.out_w = (g.in_w - g.kernel) / g.stride + 1;
-        const int64_t in_c = 4;
-        AlignedVector<float> weights(in_c * g.kernel * g.kernel * co);
-        rng.fillGaussian(weights, 0.0f, 1.0f);
-        ChangeList changes;
-        const int64_t in_n = in_c * g.in_h * g.in_w;
-        for (int64_t i = 0; i < in_n; ++i) {
-            if (rng.bernoulli(0.25))
-                changes.push(static_cast<int32_t>(i),
-                             rng.uniform(-1.0f, 1.0f));
+    for (const int64_t threshold : {int64_t{-1}, int64_t{1}}) {
+        DeltaDispatch dispatch;
+        dispatch.arch = arch;
+        dispatch.parallel_mac_threshold = threshold;
+        for (const int64_t co : {1, 3, 16, 17, 24, 33, 64}) {
+            for (const int64_t stride : {1, 2, 4}) {
+                Conv2dGeometry g;
+                g.in_h = 9;
+                g.in_w = 11;
+                g.kernel = 3;
+                g.stride = stride;
+                g.out_channels = co;
+                g.out_h = (g.in_h - g.kernel) / g.stride + 1;
+                g.out_w = (g.in_w - g.kernel) / g.stride + 1;
+                const int64_t in_c = 4;
+                AlignedVector<float> weights(in_c * g.kernel *
+                                             g.kernel * co);
+                rng.fillGaussian(weights, 0.0f, 1.0f);
+                ChangeList changes;
+                const int64_t in_n = in_c * g.in_h * g.in_w;
+                for (int64_t i = 0; i < in_n; ++i) {
+                    if (rng.bernoulli(0.25))
+                        changes.push(static_cast<int32_t>(i),
+                                     rng.uniform(-1.0f, 1.0f));
+                }
+                const int64_t out_n = g.out_h * g.out_w * co;
+                AlignedVector<float> ref(out_n), got;
+                rng.fillGaussian(ref, 0.0f, 1.0f);
+                got = ref;
+                applyConvDeltas2dScalar(changes, g, weights.data(),
+                                        ref.data());
+                applyConvDeltas2d(changes, g, weights.data(),
+                                  got.data(), dispatch);
+                SCOPED_TRACE("out_channels=" + std::to_string(co) +
+                             " stride=" + std::to_string(stride) +
+                             " threshold=" + std::to_string(threshold));
+                EXPECT_TRUE(
+                    bitsEqual(got.data(), ref.data(), out_n, "conv2d"));
+            }
         }
-        const int64_t out_n = co * g.out_h * g.out_w;
-        AlignedVector<float> ref(out_n), got;
-        rng.fillGaussian(ref, 0.0f, 1.0f);
-        got = ref;
-        applyConvDeltas2dScalar(changes, g, weights.data(),
-                                ref.data());
-        applyConvDeltas2d(changes, g, weights.data(), got.data(),
-                          dispatch);
-        SCOPED_TRACE("out_channels=" + std::to_string(co));
-        EXPECT_TRUE(
-            bitsEqual(got.data(), ref.data(), out_n, "conv2d"));
     }
 }
 
@@ -482,43 +493,46 @@ TEST_P(SimdApply, Conv3dMatchesScalar)
     const KernelArch arch = GetParam();
     if (!archCompiled(arch) || !archRunnable(arch))
         GTEST_SKIP() << archName(arch) << " not available";
-    DeltaDispatch dispatch;
-    dispatch.arch = arch;
-    dispatch.parallel_mac_threshold = -1;
     Rng rng(0xc03d);
-    for (const int64_t co : {1, 16, 21}) {
-        Conv3dGeometry g;
-        g.in_d = 4;
-        g.in_h = 6;
-        g.in_w = 7;
-        g.kernel = 3;
-        g.pad = 1;
-        g.out_channels = co;
-        g.out_d = g.in_d + 2 * g.pad - g.kernel + 1;
-        g.out_h = g.in_h + 2 * g.pad - g.kernel + 1;
-        g.out_w = g.in_w + 2 * g.pad - g.kernel + 1;
-        const int64_t in_c = 3;
-        AlignedVector<float> weights(in_c * g.kernel * g.kernel *
-                                     g.kernel * co);
-        rng.fillGaussian(weights, 0.0f, 1.0f);
-        ChangeList changes;
-        const int64_t in_n = in_c * g.in_d * g.in_h * g.in_w;
-        for (int64_t i = 0; i < in_n; ++i) {
-            if (rng.bernoulli(0.25))
-                changes.push(static_cast<int32_t>(i),
-                             rng.uniform(-1.0f, 1.0f));
+    for (const int64_t threshold : {int64_t{-1}, int64_t{1}}) {
+        DeltaDispatch dispatch;
+        dispatch.arch = arch;
+        dispatch.parallel_mac_threshold = threshold;
+        for (const int64_t co : {1, 16, 21, 64}) {
+            Conv3dGeometry g;
+            g.in_d = 4;
+            g.in_h = 6;
+            g.in_w = 7;
+            g.kernel = 3;
+            g.pad = 1;
+            g.out_channels = co;
+            g.out_d = g.in_d + 2 * g.pad - g.kernel + 1;
+            g.out_h = g.in_h + 2 * g.pad - g.kernel + 1;
+            g.out_w = g.in_w + 2 * g.pad - g.kernel + 1;
+            const int64_t in_c = 3;
+            AlignedVector<float> weights(in_c * g.kernel * g.kernel *
+                                         g.kernel * co);
+            rng.fillGaussian(weights, 0.0f, 1.0f);
+            ChangeList changes;
+            const int64_t in_n = in_c * g.in_d * g.in_h * g.in_w;
+            for (int64_t i = 0; i < in_n; ++i) {
+                if (rng.bernoulli(0.25))
+                    changes.push(static_cast<int32_t>(i),
+                                 rng.uniform(-1.0f, 1.0f));
+            }
+            const int64_t out_n = g.out_d * g.out_h * g.out_w * co;
+            AlignedVector<float> ref(out_n), got;
+            rng.fillGaussian(ref, 0.0f, 1.0f);
+            got = ref;
+            applyConvDeltas3dScalar(changes, g, weights.data(),
+                                    ref.data());
+            applyConvDeltas3d(changes, g, weights.data(), got.data(),
+                              dispatch);
+            SCOPED_TRACE("out_channels=" + std::to_string(co) +
+                         " threshold=" + std::to_string(threshold));
+            EXPECT_TRUE(
+                bitsEqual(got.data(), ref.data(), out_n, "conv3d"));
         }
-        const int64_t out_n = co * g.out_d * g.out_h * g.out_w;
-        AlignedVector<float> ref(out_n), got;
-        rng.fillGaussian(ref, 0.0f, 1.0f);
-        got = ref;
-        applyConvDeltas3dScalar(changes, g, weights.data(),
-                                ref.data());
-        applyConvDeltas3d(changes, g, weights.data(), got.data(),
-                          dispatch);
-        SCOPED_TRACE("out_channels=" + std::to_string(co));
-        EXPECT_TRUE(
-            bitsEqual(got.data(), ref.data(), out_n, "conv3d"));
     }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "kernels/delta_kernels.h"
 #include "nn/fully_connected.h"
 #include "nn/initializers.h"
 
@@ -53,6 +54,8 @@ TEST(FullyConnected, AcceptsAnyInputShapeWithRightNumel)
 
 TEST(FullyConnected, ApplyDeltaMatchesRecompute)
 {
+    // The reuse path's delta update (Eq. 10) over the layer's
+    // input-major weights equals a recompute on the changed input.
     Rng rng(11);
     FullyConnectedLayer fc("fc", 8, 5);
     initGlorot(fc, rng);
@@ -62,7 +65,10 @@ TEST(FullyConnected, ApplyDeltaMatchesRecompute)
 
     // Change input 3 by +0.25 and correct incrementally.
     AlignedVector<float> corrected(base.data());
-    fc.applyDelta(3, 0.25f, corrected);
+    kernels::ChangeList changes;
+    changes.push(3, 0.25f);
+    kernels::applyDeltas(changes, fc.weights().data(), fc.outputs(),
+                         corrected.data());
     Tensor in2 = in;
     in2[3] += 0.25f;
     const Tensor ref = fc.forward(in2);
@@ -76,7 +82,10 @@ TEST(FullyConnected, ApplyDeltaZeroIsNoop)
     FullyConnectedLayer fc("fc", 4, 4);
     initGlorot(fc, rng);
     AlignedVector<float> out(4, 1.0f);
-    fc.applyDelta(0, 0.0f, out);
+    kernels::ChangeList changes;
+    changes.push(0, 0.0f);
+    kernels::applyDeltas(changes, fc.weights().data(), fc.outputs(),
+                         out.data());
     for (float v : out)
         EXPECT_EQ(v, 1.0f);
 }
@@ -103,13 +112,6 @@ TEST(FullyConnectedDeath, WrongInputSizePanics)
     FullyConnectedLayer fc("fc", 3, 2);
     const Tensor in(Shape({4}));
     EXPECT_DEATH((void)fc.forward(in), "expected");
-}
-
-TEST(FullyConnectedDeath, BadDeltaIndexPanics)
-{
-    FullyConnectedLayer fc("fc", 3, 2);
-    AlignedVector<float> out(2, 0.0f);
-    EXPECT_DEATH(fc.applyDelta(3, 1.0f, out), "out of range");
 }
 
 } // namespace
