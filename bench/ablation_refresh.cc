@@ -37,10 +37,15 @@ runRow(TableWriter &t, const std::string &label, const Network &net,
     exact_cfg.refreshPeriod = 1;
     ReuseEngine exact(net, plan, exact_cfg);
 
+    ReuseState state = engine.makeState();
+    ReuseState exact_state = exact.makeState();
+    ReuseStatsCollector stats = engine.makeStatsCollector();
+    ExecutionTrace trace;
     double max_drift = 0.0;
     for (const Tensor &frame : inputs) {
-        const Tensor out = engine.execute(frame);
-        const Tensor ref = exact.execute(frame);
+        const Tensor out = engine.execute(state, frame, trace);
+        stats.addTrace(trace);
+        const Tensor ref = exact.execute(exact_state, frame, trace);
         max_drift = std::max(max_drift, maxAbsDifference(out, ref));
     }
     // DriftGuard bookkeeping comes straight from the stats collector:
@@ -48,14 +53,14 @@ runRow(TableWriter &t, const std::string &label, const Network &net,
     // driftRefresh (the cold first frame is not).
     int64_t refreshes = 0;
     int64_t scratch_execs = 0;
-    for (const auto &ls : engine.stats().layers()) {
+    for (const auto &ls : stats.layers()) {
         if (!ls.reuseEnabled)
             continue;
         refreshes += ls.driftRefreshes;
         scratch_execs += ls.firstExecutions;
     }
     t.addRow({label, formatDouble(max_drift, 8),
-              formatPercent(engine.stats().meanComputationReuse()),
+              formatPercent(stats.meanComputationReuse()),
               std::to_string(refreshes),
               std::to_string(scratch_execs)});
 }

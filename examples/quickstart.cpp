@@ -56,17 +56,22 @@ main()
     const QuantizationPlan plan = makePlan(net, ranges, 16, {0, 2});
 
     // 4. Run reuse-based inference over a fresh stream.
+    // The engine is immutable; the stream's reuse buffers live in a
+    // ReuseState, and each frame's trace feeds the stats collector.
     ReuseEngine engine(net, plan);
+    ReuseState state = engine.makeState();
+    ReuseStatsCollector stats = engine.makeStatsCollector();
+    ExecutionTrace trace;
     const std::vector<Tensor> stream = make_stream(100);
     std::vector<Tensor> outputs;
     std::vector<Tensor> reference;
     for (const Tensor &frame : stream) {
-        outputs.push_back(engine.execute(frame));
+        outputs.push_back(engine.execute(state, frame, trace));
+        stats.addTrace(trace);
         reference.push_back(net.forward(frame));
     }
 
     // 5. Report: how much work was avoided, and at what accuracy.
-    const auto &stats = engine.stats();
     std::cout << "\nPer-layer results over " << stream.size()
               << " frames:\n";
     for (const auto &ls : stats.layers()) {

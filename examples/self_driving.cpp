@@ -34,18 +34,22 @@ main()
 
     // Run both engines frame by frame and show the steering stream.
     ReuseEngine engine(net, w.plan);
+    ReuseState state = engine.makeState();
+    ReuseStatsCollector stats = engine.makeStatsCollector();
+    ExecutionTrace trace;
     std::cout << "frame  steering(reuse)  steering(fp32)   changed "
                  "inputs\n";
     std::vector<Tensor> outputs;
     std::vector<Tensor> reference;
     for (size_t f = 0; f < frames; ++f) {
-        const Tensor out = engine.execute(inputs[f]);
+        const Tensor out = engine.execute(state, inputs[f], trace);
+        stats.addTrace(trace);
         const Tensor ref = net.forward(inputs[f]);
         outputs.push_back(out);
         reference.push_back(ref);
         int64_t changed = 0;
         int64_t checked = 0;
-        for (const auto &rec : engine.lastTrace()) {
+        for (const auto &rec : trace) {
             changed += rec.inputsChanged;
             checked += rec.inputsChecked;
         }
@@ -62,7 +66,6 @@ main()
         }
     }
 
-    const auto &stats = engine.stats();
     std::cout << "\nMean input similarity over quantized layers: "
               << formatPercent(stats.meanSimilarity()) << "\n"
               << "Network-wide MACs avoided: "
@@ -71,10 +74,10 @@ main()
     // Latency/energy on the accelerator: a steering command must be
     // ready well within the 33 ms frame budget.
     std::vector<ExecutionTrace> traces;
-    ReuseEngine engine2(net, w.plan);
+    ReuseState state2 = engine.makeState();
     for (const Tensor &in : inputs) {
-        engine2.execute(in);
-        traces.push_back(engine2.lastTrace());
+        engine.execute(state2, in, trace);
+        traces.push_back(trace);
     }
     AcceleratorSim sim;
     const auto reuse_run = sim.simulate(net, AccelMode::Reuse, traces);

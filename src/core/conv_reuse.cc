@@ -1,7 +1,5 @@
 #include "conv_reuse.h"
 
-#include <cstring>
-
 #include "common/checksum.h"
 #include "common/logging.h"
 #include "fault/fault_injector.h"
@@ -88,16 +86,7 @@ ConvReuseState::hashInto(uint64_t &h) const
 bool
 ConvReuseState::debugCorruptBuffer(uint64_t seed)
 {
-    if (!has_prev_ || prev_output_.empty())
-        return false;
-    float *data = prev_output_.data();
-    const size_t victim = seed % prev_output_.size();
-    const uint32_t bit = static_cast<uint32_t>((seed >> 16) % 23);
-    uint32_t raw = 0;
-    std::memcpy(&raw, &data[victim], sizeof(raw));
-    raw ^= (1u << bit);
-    std::memcpy(&data[victim], &raw, sizeof(raw));
-    return true;
+    return has_prev_ && flipMantissaBit(prev_output_, seed);
 }
 
 int64_t

@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "common/aligned.h"
-#include "core/exec_record.h"
+#include "core/reuse_step_state.h"
 #include "kernels/change_list.h"
 #include "kernels/delta_kernels.h"
 #include "nn/conv2d.h"
@@ -31,7 +31,7 @@
 namespace reuse {
 
 /** Reuse state and incremental executor for a Conv2D or Conv3D layer. */
-class ConvReuseState
+class ConvReuseState final : public ReuseStepState
 {
   public:
     /** Builds reuse state for a 2D convolution. */
@@ -44,42 +44,26 @@ class ConvReuseState
                    LinearQuantizer quantizer,
                    int32_t cluster_radius = 0);
 
-    /**
-     * Executes the convolution on `input` with reuse; same contract
-     * as FcReuseState::execute().
-     */
-    Tensor execute(const Tensor &input, LayerExecRecord &rec);
+    /** Executes the convolution on `input` with reuse. */
+    Tensor execute(const Tensor &input, LayerExecRecord &rec) override;
 
-    /** Drops the buffered execution (stream boundary). */
-    void reset() { has_prev_ = false; }
-
-    /**
-     * Drops the buffered execution AND frees the buffer storage
-     * (session eviction).  The next execute() re-allocates lazily.
-     */
-    void releaseBuffers();
-
-    /** Bytes currently held by the prev-indices/output buffers. */
-    int64_t memoryBytes() const;
-
-    /** True when a previous execution is buffered. */
-    bool hasPrev() const { return has_prev_; }
+    void reset() override { has_prev_ = false; }
+    void releaseBuffers() override;
+    /** Bytes held by the prev-indices/output buffers. */
+    int64_t memoryBytes() const override;
+    bool hasPrev() const override { return has_prev_; }
+    void hashInto(uint64_t &h) const override;
+    bool debugCorruptBuffer(uint64_t seed) override;
+    std::unique_ptr<ReuseStepState> clone() const override
+    {
+        return std::make_unique<ConvReuseState>(*this);
+    }
 
     /** The input quantizer in use. */
     const LinearQuantizer &quantizer() const { return quantizer_; }
 
     /** The near-match cluster radius (0 = exact matching). */
     int32_t clusterRadius() const { return cluster_radius_; }
-
-    /** Folds the buffered state into checksum state `h`. */
-    void hashInto(uint64_t &h) const;
-
-    /**
-     * Testing hook: flips one seed-selected mantissa bit in the
-     * buffered output volume (between-frame corruption).  Returns
-     * false when nothing is buffered.
-     */
-    bool debugCorruptBuffer(uint64_t seed);
 
   private:
     /** Shared constructor: exactly one of the layers is non-null. */

@@ -78,6 +78,26 @@ struct LayerExecRecord {
      */
     int64_t kernelExtent = 1;
 
+    /**
+     * Folds one step's record into this aggregate: sums every counter
+     * and takes the step's kind, kernel extent and reuse flag.  The
+     * caller owns layerIndex, steps, firstExecution and driftRefresh.
+     */
+    void accumulate(const LayerExecRecord &step)
+    {
+        kind = step.kind;
+        reuseEnabled = reuseEnabled || step.reuseEnabled;
+        kernelExtent = step.kernelExtent;
+        inputsChecked += step.inputsChecked;
+        inputsChanged += step.inputsChanged;
+        inputsNearMatched += step.inputsNearMatched;
+        nearMatchDrift += step.nearMatchDrift;
+        inputsTotal += step.inputsTotal;
+        outputsTotal += step.outputsTotal;
+        macsFull += step.macsFull;
+        macsPerformed += step.macsPerformed;
+    }
+
     /** Fraction of checked inputs that were unchanged. */
     double similarity() const
     {

@@ -1,7 +1,5 @@
 #include "fc_reuse.h"
 
-#include <cstring>
-
 #include "common/checksum.h"
 #include "common/logging.h"
 #include "fault/fault_injector.h"
@@ -43,15 +41,7 @@ FcReuseState::hashInto(uint64_t &h) const
 bool
 FcReuseState::debugCorruptBuffer(uint64_t seed)
 {
-    if (!has_prev_ || prev_outputs_.empty())
-        return false;
-    const size_t victim = seed % prev_outputs_.size();
-    const uint32_t bit = static_cast<uint32_t>((seed >> 16) % 23);
-    uint32_t raw = 0;
-    std::memcpy(&raw, &prev_outputs_[victim], sizeof(raw));
-    raw ^= (1u << bit);
-    std::memcpy(&prev_outputs_[victim], &raw, sizeof(raw));
-    return true;
+    return has_prev_ && flipMantissaBit(prev_outputs_, seed);
 }
 
 int64_t

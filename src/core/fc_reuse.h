@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "common/aligned.h"
-#include "core/exec_record.h"
+#include "core/reuse_step_state.h"
 #include "kernels/change_list.h"
 #include "nn/fully_connected.h"
 #include "quant/linear_quantizer.h"
@@ -25,7 +25,7 @@ namespace reuse {
 /**
  * Reuse state and incremental executor for one FC layer.
  */
-class FcReuseState
+class FcReuseState final : public ReuseStepState
 {
   public:
     /**
@@ -40,27 +40,23 @@ class FcReuseState
                  LinearQuantizer quantizer, int32_t cluster_radius = 0);
 
     /**
-     * Executes the layer on `input` with reuse, updating the buffered
-     * state and filling `rec` with what happened.  The first call (or
-     * the first after reset()) computes from scratch on the quantized
+     * Executes the layer on `input` with reuse; the first call (or the
+     * first after reset()) computes from scratch on the quantized
      * input.
      */
-    Tensor execute(const Tensor &input, LayerExecRecord &rec);
+    Tensor execute(const Tensor &input, LayerExecRecord &rec) override;
 
-    /** Drops the buffered execution (stream/sequence boundary). */
-    void reset() { has_prev_ = false; }
-
-    /**
-     * Drops the buffered execution AND frees the buffer storage
-     * (session eviction).  The next execute() re-allocates lazily.
-     */
-    void releaseBuffers();
-
-    /** Bytes currently held by the prev-indices/outputs buffers. */
-    int64_t memoryBytes() const;
-
-    /** True when a previous execution is buffered. */
-    bool hasPrev() const { return has_prev_; }
+    void reset() override { has_prev_ = false; }
+    void releaseBuffers() override;
+    /** Bytes held by the prev-indices/outputs buffers. */
+    int64_t memoryBytes() const override;
+    bool hasPrev() const override { return has_prev_; }
+    void hashInto(uint64_t &h) const override;
+    bool debugCorruptBuffer(uint64_t seed) override;
+    std::unique_ptr<ReuseStepState> clone() const override
+    {
+        return std::make_unique<FcReuseState>(*this);
+    }
 
     /** Buffered output values of the previous execution. */
     const AlignedVector<float> &prevOutputs() const
@@ -79,16 +75,6 @@ class FcReuseState
 
     /** The near-match cluster radius (0 = exact matching). */
     int32_t clusterRadius() const { return cluster_radius_; }
-
-    /** Folds the buffered state into checksum state `h`. */
-    void hashInto(uint64_t &h) const;
-
-    /**
-     * Testing hook: flips one seed-selected mantissa bit in the
-     * buffered outputs (between-frame corruption).  Returns false
-     * when nothing is buffered.
-     */
-    bool debugCorruptBuffer(uint64_t seed);
 
   private:
     const FullyConnectedLayer &layer_;

@@ -19,16 +19,8 @@ LstmCellReuseState::LstmCellReuseState(const LstmCell &cell,
       owner_kind_(owner_kind),
       cluster_radius_(cluster_radius)
 {
-    // Index buffers are allocated lazily by the first step().
-    reset();
-}
-
-void
-LstmCellReuseState::reset()
-{
-    has_prev_ = false;
-    h_.assign(static_cast<size_t>(cell_.cellDim()), 0.0f);
-    c_.assign(static_cast<size_t>(cell_.cellDim()), 0.0f);
+    // All buffers are allocated lazily by the first step(): a state
+    // that never runs (or was evicted) holds no memory.
 }
 
 void
@@ -38,6 +30,8 @@ LstmCellReuseState::releaseBuffers()
     AlignedVector<int32_t>().swap(prev_h_indices_);
     for (auto &gate : preacts_)
         AlignedVector<float>().swap(gate);
+    AlignedVector<float>().swap(h_);
+    AlignedVector<float>().swap(c_);
     x_changes_.releaseStorage();
     h_changes_.releaseStorage();
     reset();
@@ -55,6 +49,12 @@ LstmCellReuseState::hashInto(uint64_t &h) const
         checksumVector(h, gate);
     checksumVector(h, h_);
     checksumVector(h, c_);
+}
+
+bool
+LstmCellReuseState::debugCorruptBuffer(uint64_t seed)
+{
+    return has_prev_ && flipMantissaBit(preacts_[0], seed);
 }
 
 int64_t
@@ -87,6 +87,8 @@ LstmCellReuseState::step(const AlignedVector<float> &x,
         // Sequence start: quantize x and the (zero) initial h, and
         // compute the gate pre-activations from scratch on centroids.
         // Buffers may have been released by an eviction.
+        h_.assign(static_cast<size_t>(cell_dim), 0.0f);
+        c_.assign(static_cast<size_t>(cell_dim), 0.0f);
         prev_x_indices_.resize(static_cast<size_t>(in_dim));
         prev_h_indices_.resize(static_cast<size_t>(cell_dim));
         AlignedVector<float> qx(static_cast<size_t>(in_dim));
@@ -187,12 +189,6 @@ LstmLayerReuseState::LstmLayerReuseState(const LstmLayer &layer,
 {
 }
 
-void
-LstmLayerReuseState::reset()
-{
-    cell_.reset();
-}
-
 std::vector<Tensor>
 LstmLayerReuseState::executeSequence(const std::vector<Tensor> &inputs,
                                      LayerExecRecord &rec)
@@ -226,13 +222,6 @@ BiLstmReuseState::BiLstmReuseState(const BiLstmLayer &layer,
       backward_(layer.backwardCell(), x_quantizer, h_quantizer,
                 LayerKind::BiLstm, cluster_radius)
 {
-}
-
-void
-BiLstmReuseState::reset()
-{
-    forward_.reset();
-    backward_.reset();
 }
 
 std::vector<Tensor>

@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "common/aligned.h"
-#include "core/exec_record.h"
+#include "core/reuse_step_state.h"
 #include "kernels/change_list.h"
 #include "nn/lstm.h"
 #include "quant/linear_quantizer.h"
@@ -55,7 +55,7 @@ class LstmCellReuseState
                               LayerExecRecord &rec);
 
     /** Resets to the initial (h=0, c=0, no history) state. */
-    void reset();
+    void reset() { has_prev_ = false; }
 
     /** reset() + frees index/pre-activation storage (eviction). */
     void releaseBuffers();
@@ -65,6 +65,12 @@ class LstmCellReuseState
 
     /** Folds the buffered step state into checksum state `h`. */
     void hashInto(uint64_t &h) const;
+
+    /** True when a previous timestep is buffered. */
+    bool hasPrev() const { return has_prev_; }
+
+    /** Flips one mantissa bit of the buffered input-gate preacts. */
+    bool debugCorruptBuffer(uint64_t seed);
 
   private:
     const LstmCell &cell_;
@@ -87,7 +93,7 @@ class LstmCellReuseState
  * Reuse state for a unidirectional LSTM layer: a single cell advanced
  * forward over the sequence, emitting one aggregated LayerExecRecord.
  */
-class LstmLayerReuseState
+class LstmLayerReuseState final : public ReuseStepState
 {
   public:
     LstmLayerReuseState(const LstmLayer &layer,
@@ -97,19 +103,21 @@ class LstmLayerReuseState
 
     /** Processes a whole sequence with reuse across timesteps. */
     std::vector<Tensor> executeSequence(const std::vector<Tensor> &inputs,
-                                        LayerExecRecord &rec);
+                                        LayerExecRecord &rec) override;
 
-    /** Resets the cell (sequence boundary). */
-    void reset();
-
-    /** reset() + frees buffer storage (eviction). */
-    void releaseBuffers() { cell_.releaseBuffers(); }
-
-    /** Bytes currently held by the cell's reuse buffers. */
-    int64_t memoryBytes() const { return cell_.memoryBytes(); }
-
-    /** Folds the cell's buffered state into checksum state `h`. */
-    void hashInto(uint64_t &h) const { cell_.hashInto(h); }
+    void reset() override { cell_.reset(); }
+    void releaseBuffers() override { cell_.releaseBuffers(); }
+    int64_t memoryBytes() const override { return cell_.memoryBytes(); }
+    void hashInto(uint64_t &h) const override { cell_.hashInto(h); }
+    bool hasPrev() const override { return cell_.hasPrev(); }
+    bool debugCorruptBuffer(uint64_t seed) override
+    {
+        return cell_.debugCorruptBuffer(seed);
+    }
+    std::unique_ptr<ReuseStepState> clone() const override
+    {
+        return std::make_unique<LstmLayerReuseState>(*this);
+    }
 
   private:
     const LstmLayer &layer_;
@@ -121,7 +129,7 @@ class LstmLayerReuseState
  * direction; executeSequence() runs both directions over the sequence
  * and emits one aggregated LayerExecRecord.
  */
-class BiLstmReuseState
+class BiLstmReuseState final : public ReuseStepState
 {
   public:
     BiLstmReuseState(const BiLstmLayer &layer, LinearQuantizer x_quantizer,
@@ -133,29 +141,38 @@ class BiLstmReuseState
      * `rec` with totals aggregated over steps, directions and gates.
      */
     std::vector<Tensor> executeSequence(const std::vector<Tensor> &inputs,
-                                        LayerExecRecord &rec);
+                                        LayerExecRecord &rec) override;
 
-    /** Resets both directions (sequence boundary). */
-    void reset();
-
-    /** reset() + frees buffer storage in both directions (eviction). */
-    void releaseBuffers()
+    void reset() override
+    {
+        forward_.reset();
+        backward_.reset();
+    }
+    void releaseBuffers() override
     {
         forward_.releaseBuffers();
         backward_.releaseBuffers();
     }
-
-    /** Bytes currently held by both directions' reuse buffers. */
-    int64_t memoryBytes() const
+    int64_t memoryBytes() const override
     {
         return forward_.memoryBytes() + backward_.memoryBytes();
     }
-
-    /** Folds both directions' buffered state into checksum state. */
-    void hashInto(uint64_t &h) const
+    void hashInto(uint64_t &h) const override
     {
         forward_.hashInto(h);
         backward_.hashInto(h);
+    }
+    bool hasPrev() const override
+    {
+        return forward_.hasPrev() || backward_.hasPrev();
+    }
+    bool debugCorruptBuffer(uint64_t seed) override
+    {
+        return forward_.debugCorruptBuffer(seed);
+    }
+    std::unique_ptr<ReuseStepState> clone() const override
+    {
+        return std::make_unique<BiLstmReuseState>(*this);
     }
 
   private:

@@ -3,6 +3,9 @@
 #include <cstdlib>
 
 #include "common/logging.h"
+#include "core/conv_reuse.h"
+#include "core/fc_reuse.h"
+#include "core/lstm_reuse.h"
 #include "fault/fault_injector.h"
 #include "ir/plan_cache.h"
 #include "nn/activations.h"
@@ -37,14 +40,47 @@ envClusterRadius()
     return static_cast<int32_t>(v);
 }
 
-std::vector<std::string>
-layerNames(const Network &network)
+/**
+ * The reuse state a plan step carries between executions; null for a
+ * step that runs from scratch.  The only place the engine reads the
+ * step's ExecMode.
+ */
+std::unique_ptr<ReuseStepState>
+makeStepState(const ir::PlanStep &step)
 {
-    std::vector<std::string> names;
-    names.reserve(network.layerCount());
-    for (size_t i = 0; i < network.layerCount(); ++i)
-        names.push_back(network.layer(i).name());
-    return names;
+    const LayerQuantization &lq = step.quant;
+    switch (step.mode) {
+      case ir::ExecMode::FromScratch:
+        return nullptr;
+      case ir::ExecMode::FcReuse:
+        return std::make_unique<FcReuseState>(
+            static_cast<const FullyConnectedLayer &>(*step.layer),
+            *lq.input, step.clusterRadius);
+      case ir::ExecMode::ConvReuse:
+        if (step.layer->kind() == LayerKind::Conv2D) {
+            return std::make_unique<ConvReuseState>(
+                static_cast<const Conv2DLayer &>(*step.layer),
+                step.inShape, *lq.input, step.clusterRadius);
+        }
+        return std::make_unique<ConvReuseState>(
+            static_cast<const Conv3DLayer &>(*step.layer), step.inShape,
+            *lq.input, step.clusterRadius);
+      case ir::ExecMode::BiLstmReuse:
+        REUSE_ASSERT(lq.recurrent.has_value(),
+                     "BiLSTM layer " << step.layer->name()
+                         << " needs a recurrent quantizer");
+        return std::make_unique<BiLstmReuseState>(
+            static_cast<const BiLstmLayer &>(*step.layer), *lq.input,
+            *lq.recurrent, step.clusterRadius);
+      case ir::ExecMode::LstmReuse:
+        REUSE_ASSERT(lq.recurrent.has_value(),
+                     "LSTM layer " << step.layer->name()
+                         << " needs a recurrent quantizer");
+        return std::make_unique<LstmLayerReuseState>(
+            static_cast<const LstmLayer &>(*step.layer), *lq.input,
+            *lq.recurrent, step.clusterRadius);
+    }
+    return nullptr;
 }
 
 } // namespace
@@ -54,8 +90,7 @@ ReuseEngine::ReuseEngine(const Network &network, QuantizationPlan plan,
     : network_(network),
       plan_(std::move(plan)),
       config_(config),
-      drift_guard_(config.refreshPeriod, config.driftBound),
-      stats_(layerNames(network))
+      drift_guard_(config.refreshPeriod, config.driftBound)
 {
     if (config_.compileOptions.clusterRadius == 0)
         config_.compileOptions.clusterRadius = envClusterRadius();
@@ -75,61 +110,18 @@ ReuseEngine::ReuseEngine(const Network &network, QuantizationPlan plan,
         fatal(network_.name() + ": model validation failed\n" +
               report.str());
     }
-    state_ = makeState();
 }
 
 ReuseState
 ReuseEngine::makeState() const
 {
-    // State vectors stay sized and indexed by the ORIGINAL layer
-    // index, not the step position: traces, drift accounting and the
-    // stats collector all speak layer indices.
+    // Sized and indexed by the ORIGINAL layer index, not the step
+    // position: traces, drift accounting and the stats collector all
+    // speak layer indices.
     ReuseState state;
-    state.fc_.resize(network_.layerCount());
-    state.conv_.resize(network_.layerCount());
-    state.lstm_.resize(network_.layerCount());
-    state.uni_lstm_.resize(network_.layerCount());
-    for (const ir::PlanStep &step : compiled_->steps()) {
-        const size_t li = step.layerIndex;
-        const LayerQuantization &lq = step.quant;
-        switch (step.mode) {
-          case ir::ExecMode::FromScratch:
-            break;
-          case ir::ExecMode::FcReuse:
-            state.fc_[li] = std::make_unique<FcReuseState>(
-                static_cast<const FullyConnectedLayer &>(*step.layer),
-                *lq.input, step.clusterRadius);
-            break;
-          case ir::ExecMode::ConvReuse:
-            if (step.layer->kind() == LayerKind::Conv2D) {
-                state.conv_[li] = std::make_unique<ConvReuseState>(
-                    static_cast<const Conv2DLayer &>(*step.layer),
-                    step.inShape, *lq.input, step.clusterRadius);
-            } else {
-                state.conv_[li] = std::make_unique<ConvReuseState>(
-                    static_cast<const Conv3DLayer &>(*step.layer),
-                    step.inShape, *lq.input, step.clusterRadius);
-            }
-            break;
-          case ir::ExecMode::BiLstmReuse:
-            REUSE_ASSERT(lq.recurrent.has_value(),
-                         "BiLSTM layer " << step.layer->name()
-                             << " needs a recurrent quantizer");
-            state.lstm_[li] = std::make_unique<BiLstmReuseState>(
-                static_cast<const BiLstmLayer &>(*step.layer),
-                *lq.input, *lq.recurrent, step.clusterRadius);
-            break;
-          case ir::ExecMode::LstmReuse:
-            REUSE_ASSERT(lq.recurrent.has_value(),
-                         "LSTM layer " << step.layer->name()
-                             << " needs a recurrent quantizer");
-            state.uni_lstm_[li] =
-                std::make_unique<LstmLayerReuseState>(
-                    static_cast<const LstmLayer &>(*step.layer),
-                    *lq.input, *lq.recurrent, step.clusterRadius);
-            break;
-        }
-    }
+    state.layers_.resize(network_.layerCount());
+    for (const ir::PlanStep &step : compiled_->steps())
+        state.layers_[step.layerIndex] = makeStepState(step);
     state.accumulated_drift_.assign(network_.layerCount(), 0.0);
     return state;
 }
@@ -137,7 +129,11 @@ ReuseEngine::makeState() const
 ReuseStatsCollector
 ReuseEngine::makeStatsCollector() const
 {
-    return ReuseStatsCollector(layerNames(network_));
+    std::vector<std::string> names;
+    names.reserve(network_.layerCount());
+    for (size_t i = 0; i < network_.layerCount(); ++i)
+        names.push_back(network_.layer(i).name());
+    return ReuseStatsCollector(std::move(names));
 }
 
 void
@@ -145,12 +141,6 @@ ReuseEngine::checkState(const ReuseState &state) const
 {
     REUSE_ASSERT(state.layerCount() == network_.layerCount(),
                  "ReuseState not created by this engine's makeState()");
-}
-
-void
-ReuseEngine::resetState()
-{
-    state_.reset();
 }
 
 void
@@ -182,15 +172,10 @@ ReuseEngine::executeStep(ReuseState &state, const ir::PlanStep &step,
 {
     const size_t li = step.layerIndex;
     rec.layerIndex = li;
-    switch (step.mode) {
-      case ir::ExecMode::FcReuse:
-        return state.fc_[li]->execute(input, rec);
-      case ir::ExecMode::ConvReuse:
-        return state.conv_[li]->execute(input, rec);
-      default:
-        recordFromScratch(li, input.shape(), rec);
-        return step.layer->forward(input);
-    }
+    if (ReuseStepState *layer_state = state.layers_[li].get())
+        return layer_state->execute(input, rec);
+    recordFromScratch(li, input.shape(), rec);
+    return step.layer->forward(input);
 }
 
 void
@@ -280,14 +265,6 @@ ReuseEngine::execute(ReuseState &state, const Tensor &input,
     return next;
 }
 
-Tensor
-ReuseEngine::execute(const Tensor &input)
-{
-    Tensor out = execute(state_, input, last_trace_);
-    stats_.addTrace(last_trace_);
-    return out;
-}
-
 std::vector<Tensor>
 ReuseEngine::executeSequence(ReuseState &state,
                              const std::vector<Tensor> &inputs,
@@ -327,35 +304,10 @@ ReuseEngine::executeSequence(ReuseState &state,
         obs::TraceSpan layer_span(obs::SpanKind::LayerExec,
                                   static_cast<int32_t>(li));
         const Layer &layer = *step.layer;
-        if (step.mode == ir::ExecMode::BiLstmReuse) {
-            current = state.lstm_[li]->executeSequence(current, rec);
-        } else if (step.mode == ir::ExecMode::LstmReuse) {
-            current =
-                state.uni_lstm_[li]->executeSequence(current, rec);
-        } else if (step.mode == ir::ExecMode::FcReuse) {
-            // Per-timestep reuse for FC layers inside an RNN: the
-            // previous execution is the previous sequence element.
-            std::vector<Tensor> outputs;
-            outputs.reserve(current.size());
-            LayerExecRecord step_rec;
-            bool first = true;
-            for (const Tensor &in : current) {
-                step_rec = LayerExecRecord{};
-                outputs.push_back(
-                    state.fc_[li]->execute(in, step_rec));
-                rec.kind = step_rec.kind;
-                rec.reuseEnabled = true;
-                rec.firstExecution = first && step_rec.firstExecution;
-                rec.inputsChecked += step_rec.inputsChecked;
-                rec.inputsChanged += step_rec.inputsChanged;
-                rec.inputsTotal += step_rec.inputsTotal;
-                rec.outputsTotal += step_rec.outputsTotal;
-                rec.macsFull += step_rec.macsFull;
-                rec.macsPerformed += step_rec.macsPerformed;
-                first = false;
-            }
-            rec.steps = static_cast<int64_t>(current.size());
-            current = std::move(outputs);
+        if (ReuseStepState *layer_state = state.layers_[li].get()) {
+            // Recurrent layers reuse across timesteps; feed-forward
+            // layers inside the RNN reuse the previous element.
+            current = layer_state->executeSequence(current, rec);
         } else {
             // From-scratch layer, applied per sequence element.
             rec.kind = layer.kind();
@@ -386,30 +338,6 @@ ReuseEngine::executeSequence(ReuseState &state,
         }
     }
     return current;
-}
-
-std::vector<Tensor>
-ReuseEngine::executeSequence(const std::vector<Tensor> &inputs)
-{
-    if (!network_.isRecurrent()) {
-        // Feed-forward: per-frame stats accumulation, as if the caller
-        // had invoked execute() frame by frame.
-        std::vector<Tensor> outputs;
-        outputs.reserve(inputs.size());
-        ExecutionTrace combined;
-        for (const Tensor &in : inputs) {
-            outputs.push_back(execute(in));
-            combined.insert(combined.end(), last_trace_.begin(),
-                            last_trace_.end());
-        }
-        last_trace_ = std::move(combined);
-        return outputs;
-    }
-
-    std::vector<Tensor> outputs =
-        executeSequence(state_, inputs, last_trace_);
-    stats_.addTrace(last_trace_);
-    return outputs;
 }
 
 } // namespace reuse

@@ -11,8 +11,7 @@
  * stateless execute(ReuseState&, ...) const overloads are safe to
  * call from many threads concurrently as long as each ReuseState is
  * used by one thread at a time — this is what the serving runtime
- * (src/serve) builds on.  The legacy stateful execute(input) API
- * drives an internal ReuseState for single-stream use.
+ * (src/serve) builds on.
  */
 
 #ifndef REUSE_DNN_CORE_REUSE_ENGINE_H
@@ -61,12 +60,14 @@ struct ReuseEngineConfig {
 /**
  * Engine implementing the paper's reuse-based inference.
  *
- * For feed-forward networks, call execute() once per frame; the
- * engine compares each enabled layer's quantized inputs against the
- * previous frame.  For recurrent networks, call executeSequence()
- * once per sequence (utterance); BiLSTM layers reuse across
- * timesteps.  resetState() emulates the accelerator being power gated
- * between input streams.
+ * Each input stream owns a ReuseState from makeState().  For
+ * feed-forward networks, call execute() once per frame; the engine
+ * compares each enabled layer's quantized inputs against the previous
+ * frame.  For recurrent networks, call executeSequence() once per
+ * sequence (utterance); LSTM layers reuse across timesteps.
+ * ReuseState::reset() emulates the accelerator being power gated
+ * between input streams; ReuseStatsCollector::addTrace() accumulates
+ * the returned traces into similarity/reuse statistics.
  */
 class ReuseEngine
 {
@@ -78,11 +79,6 @@ class ReuseEngine
      */
     ReuseEngine(const Network &network, QuantizationPlan plan,
                 ReuseEngineConfig config = {});
-
-    // ------------------------------------------------------------------
-    // Stateless API: per-stream state owned by the caller.  Thread-safe
-    // for concurrent calls with distinct states.
-    // ------------------------------------------------------------------
 
     /** Builds a fresh (cold) per-stream state for this engine. */
     ReuseState makeState() const;
@@ -106,35 +102,6 @@ class ReuseEngine
     std::vector<Tensor> executeSequence(ReuseState &state,
                                         const std::vector<Tensor> &inputs,
                                         ExecutionTrace &trace) const;
-
-    // ------------------------------------------------------------------
-    // Legacy single-stream API, driving an internal state.
-    // ------------------------------------------------------------------
-
-    /** Executes one frame (feed-forward networks only). */
-    Tensor execute(const Tensor &input);
-
-    /**
-     * Executes an input sequence.  For recurrent networks the whole
-     * sequence flows layer-by-layer; for feed-forward networks this
-     * maps execute() over the elements.
-     */
-    std::vector<Tensor> executeSequence(const std::vector<Tensor> &inputs);
-
-    /** Drops all buffered state (new stream / utterance / video). */
-    void resetState();
-
-    /** The internal single-stream state. */
-    const ReuseState &state() const { return state_; }
-
-    /** Trace of the most recent execute()/executeSequence() call. */
-    const ExecutionTrace &lastTrace() const { return last_trace_; }
-
-    /** Accumulated similarity/reuse statistics. */
-    const ReuseStatsCollector &stats() const { return stats_; }
-
-    /** Mutable statistics (e.g. to reset between phases). */
-    ReuseStatsCollector &stats() { return stats_; }
 
     /** The network being executed. */
     const Network &network() const { return network_; }
@@ -183,10 +150,6 @@ class ReuseEngine
     ReuseEngineConfig config_;
     DriftGuard drift_guard_;
     std::shared_ptr<const ir::CompiledPlan> compiled_;
-
-    ReuseState state_;
-    ExecutionTrace last_trace_;
-    ReuseStatsCollector stats_;
 };
 
 } // namespace reuse

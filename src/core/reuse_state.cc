@@ -6,40 +6,13 @@
 
 namespace reuse {
 
-namespace {
-
-template <typename T>
-std::vector<std::unique_ptr<T>>
-cloneStates(const std::vector<std::unique_ptr<T>> &src)
-{
-    std::vector<std::unique_ptr<T>> out(src.size());
-    for (size_t i = 0; i < src.size(); ++i) {
-        if (src[i])
-            out[i] = std::make_unique<T>(*src[i]);
-    }
-    return out;
-}
-
-template <typename T>
-void
-forEach(std::vector<std::unique_ptr<T>> &states, void (T::*fn)())
-{
-    for (auto &s : states) {
-        if (s)
-            (s.get()->*fn)();
-    }
-}
-
-} // namespace
-
 ReuseState
 ReuseState::clone() const
 {
     ReuseState copy;
-    copy.fc_ = cloneStates(fc_);
-    copy.conv_ = cloneStates(conv_);
-    copy.lstm_ = cloneStates(lstm_);
-    copy.uni_lstm_ = cloneStates(uni_lstm_);
+    copy.layers_.reserve(layers_.size());
+    for (const auto &s : layers_)
+        copy.layers_.push_back(s ? s->clone() : nullptr);
     copy.executions_since_refresh_ = executions_since_refresh_;
     copy.accumulated_drift_ = accumulated_drift_;
     return copy;
@@ -48,10 +21,10 @@ ReuseState::clone() const
 void
 ReuseState::reset()
 {
-    forEach(fc_, &FcReuseState::reset);
-    forEach(conv_, &ConvReuseState::reset);
-    forEach(lstm_, &BiLstmReuseState::reset);
-    forEach(uni_lstm_, &LstmLayerReuseState::reset);
+    for (auto &s : layers_) {
+        if (s)
+            s->reset();
+    }
     executions_since_refresh_ = 0;
     std::fill(accumulated_drift_.begin(), accumulated_drift_.end(),
               0.0);
@@ -60,10 +33,10 @@ ReuseState::reset()
 void
 ReuseState::releaseBuffers()
 {
-    forEach(fc_, &FcReuseState::releaseBuffers);
-    forEach(conv_, &ConvReuseState::releaseBuffers);
-    forEach(lstm_, &BiLstmReuseState::releaseBuffers);
-    forEach(uni_lstm_, &LstmLayerReuseState::releaseBuffers);
+    for (auto &s : layers_) {
+        if (s)
+            s->releaseBuffers();
+    }
     executions_since_refresh_ = 0;
     std::fill(accumulated_drift_.begin(), accumulated_drift_.end(),
               0.0);
@@ -73,19 +46,7 @@ int64_t
 ReuseState::memoryBytes() const
 {
     int64_t bytes = 0;
-    for (const auto &s : fc_) {
-        if (s)
-            bytes += s->memoryBytes();
-    }
-    for (const auto &s : conv_) {
-        if (s)
-            bytes += s->memoryBytes();
-    }
-    for (const auto &s : lstm_) {
-        if (s)
-            bytes += s->memoryBytes();
-    }
-    for (const auto &s : uni_lstm_) {
+    for (const auto &s : layers_) {
         if (s)
             bytes += s->memoryBytes();
     }
@@ -97,24 +58,12 @@ ReuseState::checksum() const
 {
     uint64_t h = checksumInit();
     checksumValue(h, executions_since_refresh_);
-    for (size_t li = 0; li < fc_.size(); ++li) {
-        // Layer index + which-kind tags keep equal buffer contents at
-        // different positions from colliding.
-        if (fc_[li]) {
+    for (size_t li = 0; li < layers_.size(); ++li) {
+        // The layer index keeps equal buffer contents at different
+        // positions from colliding.
+        if (layers_[li]) {
             checksumValue(h, li);
-            fc_[li]->hashInto(h);
-        }
-        if (conv_[li]) {
-            checksumValue(h, ~li);
-            conv_[li]->hashInto(h);
-        }
-        if (lstm_[li]) {
-            checksumValue(h, li * 2 + 1);
-            lstm_[li]->hashInto(h);
-        }
-        if (uni_lstm_[li]) {
-            checksumValue(h, li * 2);
-            uni_lstm_[li]->hashInto(h);
+            layers_[li]->hashInto(h);
         }
     }
     return h;
@@ -124,11 +73,7 @@ bool
 ReuseState::debugCorruptBuffer(uint64_t seed)
 {
 #if REUSE_FAULT_INJECTION
-    for (auto &s : fc_) {
-        if (s && s->hasPrev())
-            return s->debugCorruptBuffer(seed);
-    }
-    for (auto &s : conv_) {
+    for (auto &s : layers_) {
         if (s && s->hasPrev())
             return s->debugCorruptBuffer(seed);
     }
@@ -141,11 +86,7 @@ ReuseState::debugCorruptBuffer(uint64_t seed)
 bool
 ReuseState::warm() const
 {
-    for (const auto &s : fc_) {
-        if (s && s->hasPrev())
-            return true;
-    }
-    for (const auto &s : conv_) {
+    for (const auto &s : layers_) {
         if (s && s->hasPrev())
             return true;
     }

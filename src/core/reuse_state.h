@@ -3,9 +3,9 @@
  * Per-stream reuse state, factored out of the reuse engine so that
  * many concurrent streams (serving sessions) can share one immutable
  * engine.  A ReuseState owns every buffer the paper's technique needs
- * to carry between consecutive executions of one input stream: the
- * previous quantized input indices and previous outputs of every
- * enabled layer, plus the refresh counter.
+ * to carry between consecutive executions of one input stream: one
+ * ReuseStepState (previous quantized input indices and previous
+ * outputs) per enabled layer, plus the refresh counter.
  */
 
 #ifndef REUSE_DNN_CORE_REUSE_STATE_H
@@ -15,9 +15,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/conv_reuse.h"
-#include "core/fc_reuse.h"
-#include "core/lstm_reuse.h"
+#include "core/reuse_step_state.h"
 
 namespace reuse {
 
@@ -65,7 +63,7 @@ class ReuseState
     bool warm() const;
 
     /** Number of layers this state was sized for (0 when empty). */
-    size_t layerCount() const { return fc_.size(); }
+    size_t layerCount() const { return layers_.size(); }
 
     /** Executions since the last refresh/reset (drift control). */
     int64_t executionsSinceRefresh() const
@@ -95,7 +93,7 @@ class ReuseState
     /**
      * Testing hook (active only when the build compiles fault
      * injection in): flips one seed-selected mantissa bit in the
-     * first warm layer's buffered outputs, simulating between-frame
+     * first warm layer's buffered state, simulating between-frame
      * state corruption.  Returns false when nothing is warm or the
      * hooks are compiled out.
      */
@@ -105,12 +103,8 @@ class ReuseState
     friend class ReuseEngine;
     friend class DriftGuard;
 
-    // Index aligned with network layers; null where reuse is disabled
-    // or the layer kind does not match.
-    std::vector<std::unique_ptr<FcReuseState>> fc_;
-    std::vector<std::unique_ptr<ConvReuseState>> conv_;
-    std::vector<std::unique_ptr<BiLstmReuseState>> lstm_;
-    std::vector<std::unique_ptr<LstmLayerReuseState>> uni_lstm_;
+    /** Indexed by network layer; null where the layer runs from scratch. */
+    std::vector<std::unique_ptr<ReuseStepState>> layers_;
 
     int64_t executions_since_refresh_ = 0;
     /** Per-layer drift accumulators (see accumulatedDrift()). */

@@ -67,11 +67,15 @@ measureWorkload(const Network &network, const QuantizationPlan &plan,
     }
 
     ReuseEngine engine(network, plan);
+    ReuseState state = engine.makeState();
+    ReuseStatsCollector stats = engine.makeStatsCollector();
     std::vector<Tensor> reuse_outputs;
     reuse_outputs.reserve(inputs.size());
+    ExecutionTrace trace;
     for (const Tensor &in : inputs) {
-        reuse_outputs.push_back(engine.execute(in));
-        m.traces.push_back(engine.lastTrace());
+        reuse_outputs.push_back(engine.execute(state, in, trace));
+        stats.addTrace(trace);
+        m.traces.push_back(trace);
     }
 
     if (options.withReference) {
@@ -82,7 +86,7 @@ measureWorkload(const Network &network, const QuantizationPlan &plan,
         m.accuracy = compareOutputs(reference, reuse_outputs);
     }
 
-    m.stats = engine.stats();
+    m.stats = std::move(stats);
     m.layerSimilarity = similarityFrom(m.stats);
     m.layerReuse = reuseFrom(m.stats);
     return m;
@@ -97,12 +101,16 @@ measureWorkloadSequences(const Network &network,
     REUSE_ASSERT(!sequences.empty(), "no sequences to measure");
     WorkloadMeasurement m;
     ReuseEngine engine(network, plan);
+    ReuseState state = engine.makeState();
+    ReuseStatsCollector stats = engine.makeStatsCollector();
 
     std::vector<Tensor> reuse_outputs;
     std::vector<Tensor> reference;
+    ExecutionTrace trace;
     for (const auto &seq : sequences) {
-        std::vector<Tensor> out = engine.executeSequence(seq);
-        m.traces.push_back(engine.lastTrace());
+        std::vector<Tensor> out = engine.executeSequence(state, seq, trace);
+        stats.addTrace(trace);
+        m.traces.push_back(trace);
         for (auto &t : out)
             reuse_outputs.push_back(std::move(t));
         if (options.withReference) {
@@ -112,7 +120,7 @@ measureWorkloadSequences(const Network &network,
         }
     }
 
-    m.stats = engine.stats();
+    m.stats = std::move(stats);
     if (options.withReference)
         m.accuracy = compareOutputs(reference, reuse_outputs);
     m.layerSimilarity = similarityFrom(m.stats);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "core/lstm_reuse.h"
 #include "core/reuse_engine.h"
 #include "nn/fully_connected.h"
 #include "nn/initializers.h"
@@ -89,14 +90,15 @@ TEST(LstmLayerReuse, EngineRunsUniLstmNetwork)
     const NetworkRanges ranges = profileNetworkRanges(net, seq);
     const QuantizationPlan plan = makePlan(net, ranges, 4096, {0, 1});
     ReuseEngine engine(net, plan);
-    const auto got = engine.executeSequence(seq);
+    ReuseState state = engine.makeState();
+    ExecutionTrace trace;
+    const auto got = engine.executeSequence(state, seq, trace);
     const auto want = net.forwardSequence(seq);
     ASSERT_EQ(got.size(), want.size());
     for (size_t t = 0; t < got.size(); ++t)
         for (int64_t j = 0; j < got[t].numel(); ++j)
             EXPECT_NEAR(got[t][j], want[t][j], 5e-2f);
 
-    const ExecutionTrace &trace = engine.lastTrace();
     EXPECT_EQ(trace[0].kind, LayerKind::Lstm);
     EXPECT_TRUE(trace[0].reuseEnabled);
     EXPECT_EQ(trace[0].steps, 10);
@@ -119,6 +121,18 @@ TEST(LstmLayerReuse, ResetReproducesSequence)
     for (size_t t = 0; t < out1.size(); ++t)
         for (int64_t j = 0; j < out1[t].numel(); ++j)
             EXPECT_FLOAT_EQ(out1[t][j], out2[t][j]);
+}
+
+TEST(LstmLayerReuseDeath, SingleFrameExecutePanics)
+{
+    Rng rng(216);
+    LstmLayer layer("lstm", 4, 3);
+    initLstm(layer.cell(), rng);
+    LstmLayerReuseState state(layer, LinearQuantizer(16, -4.0f, 4.0f),
+                              LinearQuantizer(16, -1.0f, 1.0f));
+    LayerExecRecord rec;
+    EXPECT_DEATH((void)state.execute(Tensor(Shape({4})), rec),
+                 "executeSequence");
 }
 
 } // namespace

@@ -5,8 +5,11 @@
 #include "common/random.h"
 #include "core/reuse_engine.h"
 #include "nn/activations.h"
+#include "nn/conv2d.h"
+#include "nn/conv3d.h"
 #include "nn/fully_connected.h"
 #include "nn/initializers.h"
+#include "nn/lstm.h"
 #include "quant/range_profiler.h"
 
 namespace reuse {
@@ -62,19 +65,6 @@ expectIdentical(const Tensor &a, const Tensor &b)
         EXPECT_FLOAT_EQ(a[j], b[j]);
 }
 
-TEST(ReuseState, ExternalStateMatchesLegacyApi)
-{
-    StateFixture f;
-    ReuseEngine engine(f.net, f.plan());
-    ReuseState state = engine.makeState();
-    ExecutionTrace trace;
-    for (const Tensor &in : f.stream(12)) {
-        const Tensor ext = engine.execute(state, in, trace);
-        const Tensor legacy = engine.execute(in);
-        expectIdentical(ext, legacy);
-    }
-}
-
 TEST(ReuseState, FreshStateIsColdAndSmall)
 {
     StateFixture f;
@@ -103,12 +93,16 @@ TEST(ReuseState, DistinctStatesAreIndependentStreams)
     ReuseState b = engine.makeState();
     ReuseEngine ref_a(f.net, f.plan());
     ReuseEngine ref_b(f.net, f.plan());
+    ReuseState ref_a_state = ref_a.makeState();
+    ReuseState ref_b_state = ref_b.makeState();
     ExecutionTrace trace;
     for (size_t i = 0; i + 1 < frames.size(); ++i) {
         const Tensor out_a = engine.execute(a, frames[i], trace);
         const Tensor out_b = engine.execute(b, frames[i + 1], trace);
-        expectIdentical(out_a, ref_a.execute(frames[i]));
-        expectIdentical(out_b, ref_b.execute(frames[i + 1]));
+        expectIdentical(out_a,
+                        ref_a.execute(ref_a_state, frames[i], trace));
+        expectIdentical(out_b,
+                        ref_b.execute(ref_b_state, frames[i + 1], trace));
     }
 }
 
@@ -227,6 +221,184 @@ TEST(ReuseStateDeath, ForeignStatePanics)
     EXPECT_DEATH((void)engine.execute(wrong, f.calib[0], trace),
                  "state");
 }
+
+// ---------------------------------------------------------------------
+// ReuseState contract, for every layer kind that carries reuse state.
+// ---------------------------------------------------------------------
+
+enum class NetKind { Fc, Conv2d, Conv3d, Lstm, BiLstm };
+
+/**
+ * A small network whose reuse layers are all of one kind, followed by
+ * a reuse-enabled FC head.  A "unit" is what one executeSequence()
+ * call consumes: four frames of a feed-forward stream, or one
+ * four-step sequence of a recurrent network.
+ */
+struct ContractNet {
+    Rng rng{75};
+    std::unique_ptr<Network> net;
+    QuantizationPlan plan;
+    Tensor walk;
+
+    explicit ContractNet(NetKind kind)
+    {
+        std::unique_ptr<Layer> body;
+        Shape in_shape;
+        switch (kind) {
+          case NetKind::Fc:
+            in_shape = Shape({6});
+            body = std::make_unique<FullyConnectedLayer>("FC0", 6, 10);
+            break;
+          case NetKind::Conv2d:
+            in_shape = Shape({2, 6, 6});
+            body = std::make_unique<Conv2DLayer>("CONV0", 2, 3, 3, 1);
+            break;
+          case NetKind::Conv3d:
+            in_shape = Shape({2, 3, 5, 5});
+            body = std::make_unique<Conv3DLayer>("CONV0", 2, 3, 3, 1);
+            break;
+          case NetKind::Lstm:
+            in_shape = Shape({5});
+            body = std::make_unique<LstmLayer>("LSTM0", 5, 4);
+            break;
+          case NetKind::BiLstm:
+            in_shape = Shape({5});
+            body = std::make_unique<BiLstmLayer>("BILSTM0", 5, 4);
+            break;
+        }
+        const int64_t body_out = body->outputShape(in_shape).numel();
+        net = std::make_unique<Network>("contract", in_shape);
+        net->addLayer(std::move(body));
+        if (in_shape.rank() > 1)
+            net->addLayer(std::make_unique<FlattenLayer>("FLAT"));
+        net->addLayer(
+            std::make_unique<FullyConnectedLayer>("HEAD", body_out, 3));
+        initNetwork(*net, rng);
+
+        walk = Tensor(in_shape);
+        rng.fillGaussian(walk.data(), 0.0f, 1.0f);
+        std::vector<Tensor> calib;
+        for (int i = 0; i < 4; ++i) {
+            for (const Tensor &t : unit())
+                calib.push_back(t);
+        }
+        plan = makePlan(*net, profileNetworkRanges(*net, calib), 64,
+                        {0, net->layerCount() - 1});
+    }
+
+    /** The next unit of a slow random walk. */
+    std::vector<Tensor> unit()
+    {
+        std::vector<Tensor> u;
+        for (int i = 0; i < 4; ++i) {
+            for (int64_t j = 0; j < walk.numel(); ++j)
+                walk[j] += rng.gaussian(0.0f, 0.05f);
+            u.push_back(walk);
+        }
+        return u;
+    }
+};
+
+void
+expectBitIdentical(const std::vector<Tensor> &a,
+                   const std::vector<Tensor> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t t = 0; t < a.size(); ++t) {
+        ASSERT_EQ(a[t].numel(), b[t].numel());
+        for (int64_t j = 0; j < a[t].numel(); ++j)
+            EXPECT_EQ(a[t][j], b[t][j]) << "step " << t << " elem " << j;
+    }
+}
+
+class ReuseStateContract : public ::testing::TestWithParam<NetKind>
+{
+  protected:
+    ContractNet f{GetParam()};
+    ReuseEngine engine{*f.net, f.plan};
+    ExecutionTrace trace;
+
+    std::vector<Tensor> run(ReuseState &state,
+                            const std::vector<Tensor> &unit)
+    {
+        return engine.executeSequence(state, unit, trace);
+    }
+
+    /** A state warmed on three units. */
+    ReuseState warmState()
+    {
+        ReuseState state = engine.makeState();
+        for (int i = 0; i < 3; ++i)
+            run(state, f.unit());
+        EXPECT_TRUE(state.warm());
+        EXPECT_GT(state.memoryBytes(), 0);
+        return state;
+    }
+};
+
+TEST_P(ReuseStateContract, EveryReuseLayerIsEnabled)
+{
+    ReuseState state = engine.makeState();
+    run(state, f.unit());
+    ASSERT_EQ(trace.size() % f.net->layerCount(), 0u);
+    EXPECT_TRUE(trace[0].reuseEnabled);
+    EXPECT_TRUE(trace[f.net->layerCount() - 1].reuseEnabled);
+}
+
+TEST_P(ReuseStateContract, CloneContinuesBitIdentically)
+{
+    ReuseState state = warmState();
+    ReuseState fork = state.clone();
+    EXPECT_EQ(fork.memoryBytes(), state.memoryBytes());
+    for (int i = 0; i < 3; ++i) {
+        const std::vector<Tensor> u = f.unit();
+        expectBitIdentical(run(state, u), run(fork, u));
+    }
+}
+
+TEST_P(ReuseStateContract, ReleasedStateFreesAllAndReplaysLikeReset)
+{
+    ReuseState released = warmState();
+    ReuseState reset = released.clone();
+    released.releaseBuffers();
+    reset.reset();
+    EXPECT_EQ(released.memoryBytes(), 0);
+    EXPECT_FALSE(released.warm());
+    EXPECT_EQ(released.checksum(), reset.checksum());
+    for (int i = 0; i < 2; ++i) {
+        const std::vector<Tensor> u = f.unit();
+        expectBitIdentical(run(released, u), run(reset, u));
+    }
+    EXPECT_EQ(released.memoryBytes(), reset.memoryBytes());
+}
+
+TEST_P(ReuseStateContract, CloneChecksumTracksAdvance)
+{
+    ReuseState state = warmState();
+    ReuseState fork = state.clone();
+    EXPECT_EQ(fork.checksum(), state.checksum());
+
+    const std::vector<Tensor> u = f.unit();
+    run(state, u);
+    EXPECT_NE(fork.checksum(), state.checksum());
+    run(fork, u);
+    EXPECT_EQ(fork.checksum(), state.checksum());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LayerKinds, ReuseStateContract,
+    ::testing::Values(NetKind::Fc, NetKind::Conv2d, NetKind::Conv3d,
+                      NetKind::Lstm, NetKind::BiLstm),
+    [](const ::testing::TestParamInfo<NetKind> &info) {
+        switch (info.param) {
+          case NetKind::Fc: return "fc";
+          case NetKind::Conv2d: return "conv2d";
+          case NetKind::Conv3d: return "conv3d";
+          case NetKind::Lstm: return "lstm";
+          case NetKind::BiLstm: return "bilstm";
+        }
+        return "unknown";
+    });
 
 } // namespace
 } // namespace reuse

@@ -48,6 +48,9 @@ TEST(EstimateConsistency, MeasuredSimilarityReproducesCycles)
     // changes by its mean).
     Fixture f;
     ReuseEngine engine(f.net, f.plan);
+    ReuseState state = engine.makeState();
+    ReuseStatsCollector stats = engine.makeStatsCollector();
+    ExecutionTrace trace;
     std::vector<ExecutionTrace> traces;
     Tensor x(Shape({64}));
     f.rng.fillGaussian(x.data(), 0.0f, 1.0f);
@@ -55,10 +58,11 @@ TEST(EstimateConsistency, MeasuredSimilarityReproducesCycles)
     for (int i = 0; i < execs; ++i) {
         for (int64_t j = 0; j < 64; ++j)
             x[j] += f.rng.gaussian(0.0f, 0.05f);
-        engine.execute(x);
-        traces.push_back(engine.lastTrace());
+        engine.execute(state, x, trace);
+        stats.addTrace(trace);
+        traces.push_back(trace);
     }
-    const auto sims = layerSimilarityVector(engine.stats());
+    const auto sims = layerSimilarityVector(stats);
 
     AcceleratorSim sim;
     const auto functional =
@@ -75,11 +79,13 @@ TEST(EstimateConsistency, BaselineExactMatch)
 {
     Fixture f;
     ReuseEngine engine(f.net, QuantizationPlan(f.net));
+    ReuseState state = engine.makeState();
+    ExecutionTrace trace;
     std::vector<ExecutionTrace> traces;
     Tensor x(Shape({64}), 0.25f);
     for (int i = 0; i < 5; ++i) {
-        engine.execute(x);
-        traces.push_back(engine.lastTrace());
+        engine.execute(state, x, trace);
+        traces.push_back(trace);
     }
     AcceleratorSim sim;
     const auto functional =

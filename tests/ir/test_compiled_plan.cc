@@ -172,9 +172,11 @@ TEST(CompiledPlanTest, FusedMlpIsBitExactAgainstUnfused)
     ASSERT_EQ(unfused.compiledPlan().fusedCount(), 0u);
 
     const std::vector<Tensor> inputs = f.stream(24, 0.05f);
+    ReuseState state = fused.makeState();
+    ExecutionTrace trace;
     std::vector<Tensor> outputs;
     for (const Tensor &in : inputs)
-        outputs.push_back(fused.execute(in));
+        outputs.push_back(fused.execute(state, in, trace));
 
     const testing::OracleReport report =
         testing::diffAgainstReplay(unfused, inputs, outputs);
@@ -193,9 +195,11 @@ TEST(CompiledPlanTest, FusedConvNetIsBitExactAgainstUnfused)
     ASSERT_EQ(fused.compiledPlan().fusedCount(), 2u);
 
     const std::vector<Tensor> inputs = f.stream(12, 0.03f);
+    ReuseState state = fused.makeState();
+    ExecutionTrace trace;
     std::vector<Tensor> outputs;
     for (const Tensor &in : inputs)
-        outputs.push_back(fused.execute(in));
+        outputs.push_back(fused.execute(state, in, trace));
 
     const testing::OracleReport report =
         testing::diffAgainstReplay(unfused, inputs, outputs);
@@ -210,8 +214,9 @@ TEST(CompiledPlanTest, FusedTracesMatchUnfusedLayout)
     // original layer, with the fused activation's slot filled.
     MlpFixture f;
     ReuseEngine fused(f.net, f.plan);
-    fused.execute(f.calib[0]);
-    const ExecutionTrace &trace = fused.lastTrace();
+    ReuseState state = fused.makeState();
+    ExecutionTrace trace;
+    fused.execute(state, f.calib[0], trace);
     ASSERT_EQ(trace.size(), 6u);
     for (size_t li = 0; li < trace.size(); ++li) {
         EXPECT_GT(trace[li].outputsTotal, 0) << "layer " << li;

@@ -128,7 +128,9 @@ TEST(PlanCacheTest, RacingTwoModelEngineConstruction)
             Model &m = (t % 2 == 0) ? ma : mb;
             ReuseEngine engine(*m.net, m.plan);
             plans[t] = engine.compiledPlanPtr();
-            outputs[t] = engine.execute(m.frame);
+            ReuseState state = engine.makeState();
+            ExecutionTrace trace;
+            outputs[t] = engine.execute(state, m.frame, trace);
         });
     }
     for (std::thread &t : threads)

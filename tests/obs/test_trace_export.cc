@@ -71,6 +71,20 @@ struct TracedMlpFixture {
     }
 };
 
+/** Runs `frames` as one stream through `engine`; returns its stats. */
+ReuseStatsCollector
+runStream(const ReuseEngine &engine, const std::vector<Tensor> &frames)
+{
+    ReuseState state = engine.makeState();
+    ReuseStatsCollector stats = engine.makeStatsCollector();
+    ExecutionTrace trace;
+    for (const Tensor &in : frames) {
+        engine.execute(state, in, trace);
+        stats.addTrace(trace);
+    }
+    return stats;
+}
+
 class TraceExportTest : public ::testing::Test
 {
   protected:
@@ -99,8 +113,7 @@ TEST_F(TraceExportTest, ExportedTraceValidatesAgainstCheckedInSchema)
 {
     TracedMlpFixture f;
     ReuseEngine engine(f.net, f.plan());
-    for (const Tensor &in : f.stream(8, 0.05f))
-        engine.execute(in);
+    runStream(engine, f.stream(8, 0.05f));
     recordInstant(SpanKind::Eviction, -1, 1024, 2048, 0, 0, 3, 7);
 
     const JsonValue trace = exportAndParse();
@@ -118,8 +131,7 @@ TEST_F(TraceExportTest, LayerExecEventsCarryReuseArgs)
 {
     TracedMlpFixture f;
     ReuseEngine engine(f.net, f.plan());
-    engine.execute(f.calib[0]);
-    engine.execute(f.calib[0]);  // identical: full reuse
+    runStream(engine, {f.calib[0], f.calib[0]});  // identical: full reuse
 
     const JsonValue trace = exportAndParse();
     const JsonValue::Array &events = trace.at("traceEvents").asArray();
@@ -167,8 +179,8 @@ TEST_F(TraceExportTest, FullSamplingMatchesEngineStatsExactly)
 {
     TracedMlpFixture f;
     ReuseEngine engine(f.net, f.plan());
-    for (const Tensor &in : f.stream(48, 0.05f))
-        engine.execute(in);
+    const ReuseStatsCollector stats =
+        runStream(engine, f.stream(48, 0.05f));
 
     TraceAggregate agg;
     std::string error;
@@ -176,8 +188,7 @@ TEST_F(TraceExportTest, FullSamplingMatchesEngineStatsExactly)
         << error;
     EXPECT_EQ(agg.sampleEvery, 1u);
 
-    const std::vector<LayerReuseStats> &layers =
-        engine.stats().layers();
+    const std::vector<LayerReuseStats> &layers = stats.layers();
     for (const int li : {0, 2}) {
         ASSERT_TRUE(agg.layers.count(li)) << "layer " << li;
         const LayerTraceAgg &a = agg.layers.at(li);
@@ -199,8 +210,8 @@ TEST_F(TraceExportTest, SampledTraceAgreesWithinOnePercent)
     TraceRecorder::instance().setSampleEvery(4);
     TracedMlpFixture f;
     ReuseEngine engine(f.net, f.plan());
-    for (const Tensor &in : f.stream(512, 0.05f))
-        engine.execute(in);
+    const ReuseStatsCollector stats =
+        runStream(engine, f.stream(512, 0.05f));
 
     TraceAggregate agg;
     std::string error;
@@ -208,8 +219,7 @@ TEST_F(TraceExportTest, SampledTraceAgreesWithinOnePercent)
         << error;
     EXPECT_EQ(agg.sampleEvery, 4u);
 
-    const std::vector<LayerReuseStats> &layers =
-        engine.stats().layers();
+    const std::vector<LayerReuseStats> &layers = stats.layers();
     for (const int li : {0, 2}) {
         ASSERT_TRUE(agg.layers.count(li)) << "layer " << li;
         const LayerTraceAgg &a = agg.layers.at(li);
@@ -225,7 +235,7 @@ TEST_F(TraceExportTest, ExportFileWritesParseableJson)
 {
     TracedMlpFixture f;
     ReuseEngine engine(f.net, f.plan());
-    engine.execute(f.calib[0]);
+    runStream(engine, {f.calib[0]});
 
     const std::string path = testing::TempDir() + "trace_export.json";
     ASSERT_TRUE(TraceExporter::exportFile(path));

@@ -40,14 +40,16 @@ struct Fixture {
     std::vector<ExecutionTrace> traces(size_t frames, float sigma)
     {
         ReuseEngine engine(net, plan);
+        ReuseState state = engine.makeState();
+        ExecutionTrace trace;
         std::vector<ExecutionTrace> out;
         Tensor x(Shape({32}));
         rng.fillGaussian(x.data(), 0.0f, 1.0f);
         for (size_t i = 0; i < frames; ++i) {
             for (int64_t j = 0; j < 32; ++j)
                 x[j] += rng.gaussian(0.0f, sigma);
-            engine.execute(x);
-            out.push_back(engine.lastTrace());
+            engine.execute(state, x, trace);
+            out.push_back(trace);
         }
         return out;
     }
@@ -105,11 +107,13 @@ TEST(Accelerator, EstimateBaselineMatchesFunctionalBaseline)
     Fixture f;
     AcceleratorSim sim;
     ReuseEngine engine(f.net, QuantizationPlan(f.net));
+    ReuseState state = engine.makeState();
+    ExecutionTrace trace;
     std::vector<ExecutionTrace> traces;
     Tensor x(Shape({32}), 0.5f);
     for (int i = 0; i < 3; ++i) {
-        engine.execute(x);
-        traces.push_back(engine.lastTrace());
+        engine.execute(state, x, trace);
+        traces.push_back(trace);
     }
     const auto functional =
         sim.simulate(f.net, AccelMode::Baseline, traces);
