@@ -18,7 +18,9 @@
  *    bound, and with `--min-conv-simd-vs-scalar=Z` when the
  *    dispatched conv delta apply of any conv shape is slower than Z
  *    times its scalar reference in the same run (the CI perf-smoke
- *    gates, all ratios of two timings from one run);
+ *    gates, all ratios of two timings from one run); each fc_gemv
+ *    record also carries `gemv_vs_delta`, gemv over the 100% apply
+ *    of the same rows, which CI bounds;
  *  - `--arch`: prints the kernel dispatch decision (compiled and
  *    runnable families, the chosen arch, the REUSE_KERNELS
  *    override) and the probed memory peak, then exits.
@@ -194,6 +196,12 @@ struct KernelRecord {
     double gbps = 0.0;
     /** Effective GB/s as a percentage of the probed memory peak. */
     double roofline_pct = 0.0;
+    /**
+     * fc_gemv only: dispatched gemv time over the dispatched apply of
+     * the same rows at 100% change, timed alternately on the same
+     * weights (the perf-smoke gate; 0 on other records).
+     */
+    double gemv_vs_delta = 0.0;
     bool bit_exact = false;
 };
 
@@ -366,15 +374,16 @@ benchFcGemv(int64_t n, int64_t m, Rng &rng, double peak_gbps)
     AlignedVector<float> input(static_cast<size_t>(n));
     rng.fillGaussian(input, 0.0f, 1.0f);
     const kernels::DeltaDispatch simd = simdDispatch();
+    kernels::DeltaDispatch blocked = simd;
+    blocked.arch = kernels::KernelArch::Blocked;
 
     AlignedVector<float> scalar_out(static_cast<size_t>(m));
     AlignedVector<float> blocked_out(static_cast<size_t>(m));
     AlignedVector<float> simd_out(static_cast<size_t>(m));
     kernels::gemvScalar(input.data(), n, weights.data(), biases.data(),
                         m, scalar_out.data());
-    kernels::gemvBlockedRange(input.data(), n, weights.data(),
-                              biases.data(), m, 0, m,
-                              blocked_out.data());
+    kernels::gemv(input.data(), n, weights.data(), biases.data(), m,
+                  blocked_out.data(), blocked);
     kernels::gemv(input.data(), n, weights.data(), biases.data(), m,
                   simd_out.data(), simd);
     rec.bit_exact =
@@ -390,13 +399,32 @@ benchFcGemv(int64_t n, int64_t m, Rng &rng, double peak_gbps)
                             biases.data(), m, out.data());
     });
     rec.blocked_ns = timeNs(5, iters, [&] {
-        kernels::gemvBlockedRange(input.data(), n, weights.data(),
-                                  biases.data(), m, 0, m, out.data());
+        kernels::gemv(input.data(), n, weights.data(), biases.data(),
+                      m, out.data(), blocked);
     });
     rec.simd_ns = timeNs(5, iters, [&] {
         kernels::gemv(input.data(), n, weights.data(), biases.data(),
                       m, out.data(), simd);
     });
+    // gemv is the 100% apply of its nonzero rows plus a bias copy:
+    // time the two alternately so host drift hits both alike.
+    kernels::ChangeList rows;
+    kernels::collectRows(input.data(), n, rows);
+    double gemv_ns = 0.0;
+    double delta_ns = 0.0;
+    for (int r = 0; r < 11; ++r) {
+        const double g = timeNs(1, iters, [&] {
+            kernels::gemv(input.data(), n, weights.data(),
+                          biases.data(), m, out.data(), simd);
+        });
+        const double d = timeNs(1, iters, [&] {
+            kernels::applyDeltas(rows, weights.data(), m, out.data(),
+                                 simd);
+        });
+        gemv_ns = r == 0 ? g : std::min(gemv_ns, g);
+        delta_ns = r == 0 ? d : std::min(delta_ns, d);
+    }
+    rec.gemv_vs_delta = delta_ns > 0.0 ? gemv_ns / delta_ns : 0.0;
     rec.speedup = rec.blocked_ns > 0.0 ? rec.scalar_ns / rec.blocked_ns
                                        : 0.0;
     rec.simd_vs_blocked =
@@ -612,12 +640,12 @@ writeJson(const std::string &path,
             "\"simd_ns\": %.1f, \"ns_per_delta_update\": %.1f, "
             "\"speedup\": %.3f, \"simd_vs_blocked\": %.3f, "
             "\"effective_gbps\": %.3f, \"roofline_pct\": %.1f, "
-            "\"bit_exact\": %s}%s\n",
+            "\"gemv_vs_delta\": %.3f, \"bit_exact\": %s}%s\n",
             r.kernel.c_str(), static_cast<long long>(r.n),
             static_cast<long long>(r.m), r.change_fraction,
             static_cast<long long>(r.changed), r.scalar_ns,
             r.blocked_ns, r.simd_ns, r.ns_per_delta_update, r.speedup,
-            r.simd_vs_blocked, r.gbps, r.roofline_pct,
+            r.simd_vs_blocked, r.gbps, r.roofline_pct, r.gemv_vs_delta,
             r.bit_exact ? "true" : "false",
             i + 1 < records.size() ? "," : "");
         out << buf;

@@ -1,5 +1,7 @@
 #include "lstm_reuse.h"
 
+#include <algorithm>
+
 #include "common/checksum.h"
 #include "common/logging.h"
 #include "fault/fault_injector.h"
@@ -30,8 +32,8 @@ LstmCellReuseState::releaseBuffers()
     AlignedVector<int32_t>().swap(prev_h_indices_);
     for (auto &gate : preacts_)
         AlignedVector<float>().swap(gate);
-    AlignedVector<float>().swap(h_);
-    AlignedVector<float>().swap(c_);
+    AlignedVector<float>().swap(state_.h);
+    AlignedVector<float>().swap(state_.c);
     x_changes_.releaseStorage();
     h_changes_.releaseStorage();
     reset();
@@ -47,8 +49,8 @@ LstmCellReuseState::hashInto(uint64_t &h) const
     checksumVector(h, prev_h_indices_);
     for (const auto &gate : preacts_)
         checksumVector(h, gate);
-    checksumVector(h, h_);
-    checksumVector(h, c_);
+    checksumVector(h, state_.h);
+    checksumVector(h, state_.c);
 }
 
 bool
@@ -63,13 +65,13 @@ LstmCellReuseState::memoryBytes() const
     int64_t bytes = static_cast<int64_t>(
         prev_x_indices_.capacity() * sizeof(int32_t) +
         prev_h_indices_.capacity() * sizeof(int32_t) +
-        (h_.capacity() + c_.capacity()) * sizeof(float));
+        (state_.h.capacity() + state_.c.capacity()) * sizeof(float));
     for (const auto &gate : preacts_)
         bytes += static_cast<int64_t>(gate.capacity() * sizeof(float));
     return bytes;
 }
 
-AlignedVector<float>
+const AlignedVector<float> &
 LstmCellReuseState::step(const AlignedVector<float> &x,
                          LayerExecRecord &rec)
 {
@@ -87,19 +89,16 @@ LstmCellReuseState::step(const AlignedVector<float> &x,
         // Sequence start: quantize x and the (zero) initial h, and
         // compute the gate pre-activations from scratch on centroids.
         // Buffers may have been released by an eviction.
-        h_.assign(static_cast<size_t>(cell_dim), 0.0f);
-        c_.assign(static_cast<size_t>(cell_dim), 0.0f);
+        state_.h.assign(static_cast<size_t>(cell_dim), 0.0f);
+        state_.c.assign(static_cast<size_t>(cell_dim), 0.0f);
         prev_x_indices_.resize(static_cast<size_t>(in_dim));
         prev_h_indices_.resize(static_cast<size_t>(cell_dim));
-        AlignedVector<float> qx(static_cast<size_t>(in_dim));
-        kernels::quantizeWithIndices(x.data(), in_dim,
-                                     x_quant_.scanParams(),
-                                     prev_x_indices_.data(), qx.data());
-        AlignedVector<float> qh(static_cast<size_t>(cell_dim));
-        kernels::quantizeWithIndices(h_.data(), cell_dim,
-                                     h_quant_.scanParams(),
-                                     prev_h_indices_.data(), qh.data());
-        preacts_ = cell_.computePreacts(qx, qh);
+        kernels::quantizeRows(x.data(), in_dim, x_quant_.scanParams(),
+                              prev_x_indices_.data(), x_changes_);
+        kernels::quantizeRows(state_.h.data(), cell_dim,
+                              h_quant_.scanParams(),
+                              prev_h_indices_.data(), h_changes_);
+        cell_.computePreacts(x_changes_, h_changes_, preacts_);
         has_prev_ = true;
         rec.macsPerformed += full_macs;
     } else {
@@ -143,7 +142,7 @@ LstmCellReuseState::step(const AlignedVector<float> &x,
         kernels::ScanResult scanned_h;
         {
             obs::TraceSpan span(obs::SpanKind::LayerScan);
-            scanned_h = kernels::scanChanges(h_.data(), cell_dim,
+            scanned_h = kernels::scanChanges(state_.h.data(), cell_dim,
                                              h_scan,
                                              prev_h_indices_.data(),
                                              h_changes_);
@@ -173,10 +172,8 @@ LstmCellReuseState::step(const AlignedVector<float> &x,
     }
 
     // Elementwise tail (Eqs. 7-8) is always computed.
-    LstmCell::State next = cell_.finishStep(preacts_, c_);
-    h_ = next.h;
-    c_ = std::move(next.c);
-    return h_;
+    cell_.finishStep(preacts_, state_);
+    return state_.h;
 }
 
 LstmLayerReuseState::LstmLayerReuseState(const LstmLayer &layer,
@@ -202,13 +199,8 @@ LstmLayerReuseState::executeSequence(const std::vector<Tensor> &inputs,
     rec.steps = static_cast<int64_t>(inputs.size());
     rec.firstExecution = (inputs.size() <= 1);
 
-    for (const Tensor &in : inputs) {
-        const AlignedVector<float> h = cell_.step(in.data(), rec);
-        Tensor out(Shape({cell_dim}));
-        for (int64_t j = 0; j < cell_dim; ++j)
-            out[j] = h[static_cast<size_t>(j)];
-        outputs.push_back(std::move(out));
-    }
+    for (const Tensor &in : inputs)
+        outputs.emplace_back(Shape({cell_dim}), cell_.step(in.data(), rec));
     return outputs;
 }
 
@@ -228,10 +220,40 @@ std::vector<Tensor>
 BiLstmReuseState::executeSequence(const std::vector<Tensor> &inputs,
                                   LayerExecRecord &rec)
 {
+    return executeSequence(inputs, rec, kernels::defaultDispatch());
+}
+
+std::vector<Tensor>
+BiLstmReuseState::executeSequence(const std::vector<Tensor> &inputs,
+                                  LayerExecRecord &rec,
+                                  const kernels::DeltaDispatch &dispatch)
+{
     const size_t t_len = inputs.size();
     const int64_t cell_dim = layer_.cellDim();
     std::vector<Tensor> outputs(t_len,
                                 Tensor(Shape({layer_.outputDim()})));
+
+    // Each direction fills its half of the outputs and its own
+    // record; the records merge forward-then-backward after the
+    // join, so outputs and record do not depend on which thread ran
+    // which direction.
+    LayerExecRecord dir_rec[2];
+    const auto run = [&](LstmCellReuseState &cell, int d) {
+        const int64_t offset = d == 0 ? 0 : cell_dim;
+        for (size_t k = 0; k < t_len; ++k) {
+            const size_t t = d == 0 ? k : t_len - 1 - k;
+            const AlignedVector<float> &h =
+                cell.step(inputs[t].data(), dir_rec[d]);
+            std::copy(h.begin(), h.end(),
+                      outputs[t].data().begin() + offset);
+        }
+    };
+    kernels::runPair(layer_.forwardCell().macCountPerStep() *
+                         static_cast<int64_t>(t_len),
+                     [&] { run(forward_, 0); },
+                     [&] { run(backward_, 1); }, dispatch);
+    rec.accumulate(dir_rec[0]);
+    rec.accumulate(dir_rec[1]);
 
     rec.kind = LayerKind::BiLstm;
     rec.reuseEnabled = true;
@@ -241,19 +263,6 @@ BiLstmReuseState::executeSequence(const std::vector<Tensor> &inputs,
     // steady-state one because subsequent steps dominate, and the
     // from-scratch share is visible via macsPerformed.
     rec.firstExecution = (t_len <= 1);
-
-    for (size_t t = 0; t < t_len; ++t) {
-        const AlignedVector<float> h =
-            forward_.step(inputs[t].data(), rec);
-        for (int64_t j = 0; j < cell_dim; ++j)
-            outputs[t][j] = h[static_cast<size_t>(j)];
-    }
-    for (size_t t = t_len; t-- > 0;) {
-        const AlignedVector<float> h =
-            backward_.step(inputs[t].data(), rec);
-        for (int64_t j = 0; j < cell_dim; ++j)
-            outputs[t][cell_dim + j] = h[static_cast<size_t>(j)];
-    }
     return outputs;
 }
 

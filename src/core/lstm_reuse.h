@@ -49,10 +49,11 @@ class LstmCellReuseState
     /**
      * Advances the cell one timestep with reuse.  Accumulates what
      * happened into `rec` (so the caller can aggregate steps and
-     * directions into a single layer record).  Returns h_t.
+     * directions into a single layer record).  Returns h_t, which
+     * the state updates in place: valid until the next step.
      */
-    AlignedVector<float> step(const AlignedVector<float> &x,
-                              LayerExecRecord &rec);
+    const AlignedVector<float> &step(const AlignedVector<float> &x,
+                                     LayerExecRecord &rec);
 
     /** Resets to the initial (h=0, c=0, no history) state. */
     void reset() { has_prev_ = false; }
@@ -82,9 +83,8 @@ class LstmCellReuseState
     AlignedVector<int32_t> prev_x_indices_;
     AlignedVector<int32_t> prev_h_indices_;
     LstmCell::Preacts preacts_;
-    AlignedVector<float> h_;
-    AlignedVector<float> c_;
-    /** Per-step (position, delta) scratch, reused across steps. */
+    LstmCell::State state_;
+    /** Per-step change lists (a first step's nonzero rows), reused. */
     kernels::ChangeList x_changes_;
     kernels::ChangeList h_changes_;
 };
@@ -127,7 +127,9 @@ class LstmLayerReuseState final : public ReuseStepState
 /**
  * Reuse state for a bidirectional LSTM layer: one cell state per
  * direction; executeSequence() runs both directions over the sequence
- * and emits one aggregated LayerExecRecord.
+ * — at once on the kernel pool above the threading threshold, like
+ * BiLstmLayer::forwardSequence() — and emits one aggregated
+ * LayerExecRecord.
  */
 class BiLstmReuseState final : public ReuseStepState
 {
@@ -142,6 +144,12 @@ class BiLstmReuseState final : public ReuseStepState
      */
     std::vector<Tensor> executeSequence(const std::vector<Tensor> &inputs,
                                         LayerExecRecord &rec) override;
+
+    /** executeSequence() fanning the directions out on `dispatch`. */
+    std::vector<Tensor>
+    executeSequence(const std::vector<Tensor> &inputs,
+                    LayerExecRecord &rec,
+                    const kernels::DeltaDispatch &dispatch);
 
     void reset() override
     {

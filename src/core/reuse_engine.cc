@@ -296,7 +296,10 @@ ReuseEngine::executeSequence(ReuseState &state,
     state.reset();
     trace.clear();
     trace.resize(network_.layerCount());
-    std::vector<Tensor> current = inputs;
+    // The first layer reads the caller's inputs in place; each later
+    // layer reads its predecessor's outputs.
+    const std::vector<Tensor> *layer_in = &inputs;
+    std::vector<Tensor> current;
     for (const ir::PlanStep &step : compiled_->steps()) {
         const size_t li = step.layerIndex;
         LayerExecRecord &rec = trace[li];
@@ -307,16 +310,16 @@ ReuseEngine::executeSequence(ReuseState &state,
         if (ReuseStepState *layer_state = state.layers_[li].get()) {
             // Recurrent layers reuse across timesteps; feed-forward
             // layers inside the RNN reuse the previous element.
-            current = layer_state->executeSequence(current, rec);
+            current = layer_state->executeSequence(*layer_in, rec);
         } else {
             // From-scratch layer, applied per sequence element.
             rec.kind = layer.kind();
             rec.reuseEnabled = false;
             rec.firstExecution = false;
-            rec.steps = static_cast<int64_t>(current.size());
+            rec.steps = static_cast<int64_t>(layer_in->size());
             std::vector<Tensor> outputs;
-            outputs.reserve(current.size());
-            for (const Tensor &in : current) {
+            outputs.reserve(layer_in->size());
+            for (const Tensor &in : *layer_in) {
                 rec.inputsTotal += in.numel();
                 const int64_t macs = layer.macCount(in.shape());
                 rec.macsFull += macs;
@@ -327,6 +330,7 @@ ReuseEngine::executeSequence(ReuseState &state,
             }
             current = std::move(outputs);
         }
+        layer_in = &current;
         if (layer_span.active()) {
             uint32_t flags = 0;
             if (rec.firstExecution)
@@ -337,6 +341,8 @@ ReuseEngine::executeSequence(ReuseState &state,
                             rec.macsFull, rec.macsPerformed, flags);
         }
     }
+    if (layer_in == &inputs)
+        current = inputs;
     return current;
 }
 

@@ -32,6 +32,46 @@ ChangeList::releaseStorage()
     count_ = 0;
 }
 
+namespace {
+
+/** Fills `rows` with (i, v) for every nonzero v = value_at(i). */
+template <typename ValueAt>
+void
+fillRows(int64_t n, ChangeList &rows, ValueAt value_at)
+{
+    int32_t *pos = nullptr;
+    float *val = nullptr;
+    rows.beginScan(n, pos, val);
+    size_t count = 0;
+    for (int64_t i = 0; i < n; ++i) {
+        const float v = value_at(i);
+        if (v == 0.0f)
+            continue;
+        pos[count] = static_cast<int32_t>(i);
+        val[count] = v;
+        ++count;
+    }
+    rows.endScan(count);
+}
+
+} // namespace
+
+void
+collectRows(const float *input, int64_t n, ChangeList &rows)
+{
+    fillRows(n, rows, [input](int64_t i) { return input[i]; });
+}
+
+void
+quantizeRows(const float *input, int64_t n, const QuantScanParams &q,
+             int32_t *indices, ChangeList &rows)
+{
+    fillRows(n, rows, [&](int64_t i) {
+        indices[i] = quantIndex(q, input[i]);
+        return quantCentroid(q, indices[i]);
+    });
+}
+
 void
 quantizeWithIndices(const float *input, int64_t n,
                     const QuantScanParams &q, int32_t *indices,

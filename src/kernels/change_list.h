@@ -143,6 +143,23 @@ struct ScanResult {
 };
 
 /**
+ * Fills `rows` with (i, input[i]) for every nonzero input, in
+ * ascending i: a dense product sum_i input[i] * W[i] as a change list
+ * for the apply kernels (zero inputs contribute nothing).
+ */
+void collectRows(const float *input, int64_t n, ChangeList &rows);
+
+/**
+ * Quantizes `input[0..n)`, writing every element's index to
+ * `indices`, and fills `rows` with (i, centroid) for every nonzero
+ * centroid: the first-execution quantize and collectRows() in one
+ * pass.
+ */
+void quantizeRows(const float *input, int64_t n,
+                  const QuantScanParams &q, int32_t *indices,
+                  ChangeList &rows);
+
+/**
  * Quantizes `input[0..n)`, writing the index of every element to
  * `indices` and its centroid value to `centroids`.  Used by the
  * first-execution (from-scratch) path.  Either output may be null to

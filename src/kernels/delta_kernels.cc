@@ -18,6 +18,7 @@
 #include <algorithm>
 
 #include "kernels/conv_windows.h"
+#include "kernels/poly_math.h"
 #include "kernels/simd_kernels.h"
 
 namespace reuse {
@@ -161,48 +162,57 @@ applyDeltas(const ChangeList &changes, const float *weights, int64_t m,
 // ---------------------------------------------------------------
 
 void
-gemvBlockedRange(const float *input, int64_t n, const float *weights,
-                 const float *biases, int64_t m, int64_t begin,
-                 int64_t end, float *out)
-{
-    for (int64_t b0 = begin; b0 < end; b0 += kDeltaBlockFloats) {
-        const int64_t len = std::min(kDeltaBlockFloats, end - b0);
-        float *__restrict dst = out + b0;
-        const float *__restrict bias = biases + b0;
-        for (int64_t o = 0; o < len; ++o)
-            dst[o] = bias[o];
-        for (int64_t i = 0; i < n; ++i) {
-            const float v = input[i];
-            if (v == 0.0f)
-                continue;
-            const float *__restrict w_row = weights + i * m + b0;
-            for (int64_t o = 0; o < len; ++o)
-                dst[o] += v * w_row[o];
-        }
-    }
-}
-
-void
 gemv(const float *input, int64_t n, const float *weights,
      const float *biases, int64_t m, float *out,
      const DeltaDispatch &dispatch)
 {
     if (m <= 0)
         return;
-    if (dispatch.arch == KernelArch::Scalar) {
-        gemvScalar(input, n, weights, biases, m, out);
+    // Per-thread row list: gemv runs on serve workers and pool
+    // workers alike, and keeps its storage across calls.
+    thread_local ChangeList rows;
+    collectRows(input, n, rows);
+    std::copy(biases, biases + m, out);
+    applyDeltas(rows, weights, m, out, dispatch);
+}
+
+void
+runPair(int64_t macs, const std::function<void()> &first,
+        const std::function<void()> &second,
+        const DeltaDispatch &dispatch)
+{
+    KernelThreadPool &pool = poolOf(dispatch);
+    if (shouldThread(dispatch, pool, macs)) {
+        pool.runPair(first, second);
+    } else {
+        first();
+        second();
+    }
+}
+
+// ---------------------------------------------------------------
+// LSTM elementwise tail.
+// ---------------------------------------------------------------
+
+void
+lstmTail(const LstmGateRows &z, int64_t n, float *c, float *h,
+         KernelArch arch)
+{
+    if (arch == KernelArch::Scalar) {
+        lstmTailScalar(z, n, c, h);
         return;
     }
-    KernelThreadPool &pool = poolOf(dispatch);
-    if (shouldThread(dispatch, pool, n * m)) {
-        pool.parallelFor(m, kDeltaChunkFloats,
-                         [&](int64_t begin, int64_t end) {
-                             gemvBlockedRange(input, n, weights,
-                                              biases, m, begin, end,
-                                              out);
-                         });
-    } else {
-        gemvBlockedRange(input, n, weights, biases, m, 0, m, out);
+    const float *__restrict zi = z.i;
+    const float *__restrict zf = z.f;
+    const float *__restrict zg = z.g;
+    const float *__restrict zo = z.o;
+    float *__restrict cell = c;
+    float *__restrict hidden = h;
+    for (int64_t j = 0; j < n; ++j) {
+        const float c_t = poly::sigmoid(zf[j]) * cell[j] +
+                          poly::sigmoid(zi[j]) * poly::tanh(zg[j]);
+        cell[j] = c_t;
+        hidden[j] = poly::sigmoid(zo[j]) * poly::tanh(c_t);
     }
 }
 

@@ -22,10 +22,11 @@
  * change order), so their results are bit-identical (fuzz-tested).
  * The dispatching entry points pick the implementation at runtime
  * (REUSE_KERNELS forces a family; see dispatch.h).  The FC/LSTM
- * apply and the GEMV also partition the output range over the
- * kernel thread pool when the update is large enough (changed ×
- * outputs ≥ threshold), which preserves bit-exactness because chunk
- * boundaries are deterministic and disjoint.
+ * apply (and the GEMV, which runs through it) also partitions the
+ * output range over the kernel thread pool when the update is large
+ * enough (changed × outputs ≥ threshold), which preserves
+ * bit-exactness because chunk boundaries are deterministic and
+ * disjoint.
  *
  * All kernels operate on raw pointers: weights are input-major
  * (weight(i, o) at w[i * m + o], the paper's interleaved Weights
@@ -38,6 +39,7 @@
 #define REUSE_DNN_KERNELS_DELTA_KERNELS_H
 
 #include <cstdint>
+#include <functional>
 
 #include "kernels/change_list.h"
 #include "kernels/dispatch.h"
@@ -78,25 +80,62 @@ void applyDeltas(const ChangeList &changes, const float *weights,
 // ---------------------------------------------------------------
 // From-scratch GEMV for the first execution of an FC layer:
 //   out[o] = biases[o] + sum_i input[i] * w[i * m + o].
-// Zero inputs are skipped (quantized inputs are frequently zero).
-// The GEMV runs once per session (first frame / drift refresh), so
-// it keeps the auto-vectorized blocked form for every non-scalar
-// arch rather than carrying three hand-written variants.
+// The dispatched form is the delta apply above with the nonzero
+// inputs, in ascending order, as the change list (collectRows) and
+// the bias as the starting output: per output element that is the
+// reference's operation sequence, so it is bit-identical to it, and
+// it runs on the same hand-written row sweep and threading.
 // ---------------------------------------------------------------
 
 /** Scalar reference: bias fill, then one row sweep per input. */
 void gemvScalar(const float *input, int64_t n, const float *weights,
                 const float *biases, int64_t m, float *out);
 
-/** Blocked + vectorized form over the output range [begin, end). */
-void gemvBlockedRange(const float *input, int64_t n,
-                      const float *weights, const float *biases,
-                      int64_t m, int64_t begin, int64_t end, float *out);
-
 /** Dispatched form of the from-scratch GEMV. */
 void gemv(const float *input, int64_t n, const float *weights,
           const float *biases, int64_t m, float *out,
           const DeltaDispatch &dispatch = defaultDispatch());
+
+/**
+ * Runs two independent tasks of `macs` MACs each: at once on the
+ * dispatch's pool (KernelThreadPool::runPair) when `macs` reaches the
+ * threading threshold and the pool has workers, else `first` then
+ * `second` on the caller.
+ */
+void runPair(int64_t macs, const std::function<void()> &first,
+             const std::function<void()> &second,
+             const DeltaDispatch &dispatch = defaultDispatch());
+
+// ---------------------------------------------------------------
+// LSTM elementwise tail (Eqs. 7-8), in place over n cells:
+//   c[j] = sigmoid(zf[j]) * c[j] + sigmoid(zi[j]) * tanh(zg[j])
+//   h[j] = sigmoid(zo[j]) * tanh(c[j])
+// with the polynomial sigmoid/tanh of poly_math.h.  The scalar
+// reference runs them one element at a time; every other arch runs
+// the same code auto-vectorized, with identical bits.
+// ---------------------------------------------------------------
+
+/** Pre-activation rows of an LSTM step's four gates (n floats each). */
+struct LstmGateRows {
+    const float *i = nullptr;  ///< Input gate.
+    const float *f = nullptr;  ///< Forget gate.
+    const float *g = nullptr;  ///< Cell updater.
+    const float *o = nullptr;  ///< Output gate.
+};
+
+/** Scalar reference of the tail. */
+void lstmTailScalar(const LstmGateRows &z, int64_t n, float *c,
+                    float *h);
+
+/** Dispatched (vectorized unless the arch is Scalar) tail. */
+void lstmTail(const LstmGateRows &z, int64_t n, float *c, float *h,
+              KernelArch arch = defaultDispatch().arch);
+
+/** The tail's sigmoid on one value (accuracy tests). */
+float tailSigmoid(float x);
+
+/** The tail's tanh on one value (accuracy tests). */
+float tailTanh(float x);
 
 // ---------------------------------------------------------------
 // Convolution delta update: every output neuron whose receptive

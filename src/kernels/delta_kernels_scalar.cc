@@ -14,6 +14,7 @@
 #include "delta_kernels.h"
 
 #include "kernels/conv_windows.h"
+#include "kernels/poly_math.h"
 
 namespace reuse {
 namespace kernels {
@@ -46,6 +47,29 @@ gemvScalar(const float *input, int64_t n, const float *weights,
         for (int64_t o = 0; o < m; ++o)
             out[o] += v * w_row[o];
     }
+}
+
+void
+lstmTailScalar(const LstmGateRows &z, int64_t n, float *c, float *h)
+{
+    for (int64_t j = 0; j < n; ++j) {
+        const float c_t = poly::sigmoid(z.f[j]) * c[j] +
+                          poly::sigmoid(z.i[j]) * poly::tanh(z.g[j]);
+        c[j] = c_t;
+        h[j] = poly::sigmoid(z.o[j]) * poly::tanh(c_t);
+    }
+}
+
+float
+tailSigmoid(float x)
+{
+    return poly::sigmoid(x);
+}
+
+float
+tailTanh(float x)
+{
+    return poly::tanh(x);
 }
 
 namespace {

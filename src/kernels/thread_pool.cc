@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <memory>
 
 #include "common/math_utils.h"
+#include "obs/exemplar.h"
 #include "obs/trace_recorder.h"
 
 namespace reuse {
@@ -38,6 +40,42 @@ defaultWorkerCount()
         return 0;
     return std::min<size_t>(3, hw - 1);
 }
+
+/** Runs the chunks of [0, total) in order on the calling thread. */
+void
+runInline(int64_t total, int64_t grain,
+          const KernelThreadPool::ChunkFn &fn)
+{
+    for (int64_t begin = 0; begin < total; begin += grain) {
+        runChunkHook();
+        fn(begin, std::min(total, begin + grain));
+    }
+}
+
+/**
+ * Makes the calling thread's frame context a copy of `caller` whose
+ * exemplar spans go to `staging`; restores the previous context on
+ * exit.
+ */
+class AdoptFrameContext
+{
+  public:
+    AdoptFrameContext(const obs::FrameContext &caller,
+                      obs::ExemplarStaging *staging)
+        : saved_(obs::frameContext())
+    {
+        obs::FrameContext &ctx = obs::frameContext();
+        ctx = caller;
+        ctx.staging = staging;
+    }
+    ~AdoptFrameContext() { obs::frameContext() = saved_; }
+
+    AdoptFrameContext(const AdoptFrameContext &) = delete;
+    AdoptFrameContext &operator=(const AdoptFrameContext &) = delete;
+
+  private:
+    obs::FrameContext saved_;
+};
 
 } // namespace
 
@@ -115,30 +153,15 @@ KernelThreadPool::workerLoop()
     }
 }
 
-void
-KernelThreadPool::parallelFor(int64_t total, int64_t grain,
-                              const ChunkFn &fn)
+bool
+KernelThreadPool::tryRunJob(int64_t total, int64_t grain,
+                            const ChunkFn &fn)
 {
-    if (total <= 0)
-        return;
-    if (grain <= 0)
-        grain = total;
-    // Dispatch span on the calling thread: covers inline execution
-    // and the fan-out/join of the pooled path alike (chunk bodies on
-    // pool workers are outside any sampled frame and stay untraced).
-    obs::TraceSpan dispatch_span(obs::SpanKind::PoolDispatch);
-    dispatch_span.args(total, grain);
-    if (workers_.empty() || total <= grain) {
-        // Inline execution with identical chunk boundaries, so the
-        // result is bit-identical to the threaded path.
-        for (int64_t begin = 0; begin < total; begin += grain) {
-            runChunkHook();
-            fn(begin, std::min(total, begin + grain));
-        }
-        return;
-    }
-
-    MutexLock job_lock(job_mutex_);
+    bool idle = false;
+    if (workers_.empty() ||
+        !busy_.compare_exchange_strong(idle, true,
+                                       std::memory_order_acquire))
+        return false;
     Job job;
     job.fn = &fn;
     job.total = total;
@@ -160,6 +183,54 @@ KernelThreadPool::parallelFor(int64_t total, int64_t grain,
                job.done.load(std::memory_order_acquire) != job.chunks)
             done_cv_.wait(lock);
         current_ = nullptr;
+    }
+    busy_.store(false, std::memory_order_release);
+    return true;
+}
+
+void
+KernelThreadPool::parallelFor(int64_t total, int64_t grain,
+                              const ChunkFn &fn)
+{
+    if (total <= 0)
+        return;
+    if (grain <= 0)
+        grain = total;
+    // Dispatch span on the calling thread: covers inline execution
+    // and the fan-out/join of the pooled path alike (chunk bodies on
+    // pool workers are outside any sampled frame and stay untraced).
+    obs::TraceSpan dispatch_span(obs::SpanKind::PoolDispatch);
+    dispatch_span.args(total, grain);
+    // Inline execution keeps the chunk boundaries, so the result is
+    // bit-identical to the threaded path.
+    if (total <= grain || !tryRunJob(total, grain, fn))
+        runInline(total, grain, fn);
+}
+
+void
+KernelThreadPool::runPair(const std::function<void()> &first,
+                          const std::function<void()> &second)
+{
+    const obs::FrameContext caller = obs::frameContext();
+    // Each task stages its exemplar spans privately (the caller's
+    // buffer is not thread-safe); they are appended in task order.
+    std::unique_ptr<obs::ExemplarStaging[]> staged;
+    if (caller.staging != nullptr)
+        staged = std::make_unique<obs::ExemplarStaging[]>(2);
+    const ChunkFn fn = [&](int64_t task, int64_t) {
+        const AdoptFrameContext adopt(
+            caller, staged ? &staged[task] : nullptr);
+        (task == 0 ? first : second)();
+    };
+    if (!tryRunJob(2, 1, fn))
+        runInline(2, 1, fn);
+    if (!staged)
+        return;
+    for (int task = 0; task < 2; ++task) {
+        const obs::ExemplarStaging &part = staged[task];
+        for (uint32_t k = 0; k < part.count; ++k)
+            caller.staging->add(part.spans[k]);
+        caller.staging->overflow += part.overflow;
     }
 }
 

@@ -9,9 +9,10 @@
  *
  * Design mirrors the serve worker-pool idioms (mutex + condvar
  * signalling, persistent threads joined on destruction).  One job
- * runs at a time; concurrent parallelFor() callers serialize on the
- * job mutex, which is fine because only above-threshold layer
- * updates reach the pool at all.
+ * runs at a time.  A call that finds the pool busy — a nested call
+ * from inside a chunk, or a second caller while another caller's job
+ * runs — executes inline on its own thread instead of waiting, so
+ * nesting cannot deadlock and no caller queues behind another's job.
  *
  * Determinism: chunk boundaries depend only on (total, grain), never
  * on the worker count or scheduling, and chunks are disjoint — so a
@@ -68,10 +69,26 @@ class KernelThreadPool
      * Splits [0, total) into ceil(total/grain) chunks of `grain`
      * elements and runs `fn` on every chunk, distributing chunks
      * over the workers and the calling thread.  Blocks until all
-     * chunks completed.  Safe to call from multiple threads
-     * (concurrent jobs serialize).
+     * chunks completed.  Safe to call from multiple threads and from
+     * inside a chunk: when the pool is already running a job, the
+     * chunks run inline on the calling thread, with the same
+     * boundaries.
      */
     void parallelFor(int64_t total, int64_t grain, const ChunkFn &fn);
+
+    /**
+     * Runs two independent tasks at once: `second` as a pool chunk
+     * while the caller runs `first`, then joins.  Runs them inline,
+     * `first` then `second`, when the pool has no workers or is
+     * busy.  Each task runs under a copy of the caller's frame trace
+     * context, so its spans carry the caller's session/frame ids on
+     * whichever thread runs it; the exemplar spans the tasks stage
+     * are appended to the caller's after the join, `first`'s before
+     * `second`'s.  Emits no PoolDispatch span: the tasks are layer
+     * work, not a kernel fan-out.
+     */
+    void runPair(const std::function<void()> &first,
+                 const std::function<void()> &second);
 
     /**
      * Process-wide hook invoked once per chunk, on the executing
@@ -99,11 +116,17 @@ class KernelThreadPool
 
     void workerLoop() EXCLUDES(mutex_);
     void runChunks(Job &job) EXCLUDES(mutex_);
+    /**
+     * Runs the chunks of [0, total) on the pool and the caller;
+     * false (nothing ran) when the pool has no workers or is busy.
+     */
+    bool tryRunJob(int64_t total, int64_t grain, const ChunkFn &fn)
+        EXCLUDES(mutex_);
 
     std::vector<std::thread> workers_;
 
-    /** Serializes whole jobs from concurrent callers. */
-    Mutex job_mutex_;
+    /** Set while a job owns the pool; claimed by compare-exchange. */
+    std::atomic<bool> busy_{false};
 
     /** Guards the signalling state below. */
     Mutex mutex_;

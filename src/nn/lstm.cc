@@ -1,10 +1,10 @@
 #include "lstm.h"
 
-#include <cmath>
+#include <algorithm>
 
 #include "common/logging.h"
-#include "common/math_utils.h"
 #include "ir/op_shapes.h"
+#include "kernels/delta_kernels.h"
 
 namespace reuse {
 
@@ -33,57 +33,46 @@ LstmCell::initialState() const
     return s;
 }
 
-LstmCell::Preacts
-LstmCell::computePreacts(const AlignedVector<float> &x,
-                         const AlignedVector<float> &h_prev) const
+void
+LstmCell::computePreacts(const kernels::ChangeList &x_rows,
+                         const kernels::ChangeList &h_rows,
+                         Preacts &preacts) const
 {
-    REUSE_ASSERT(static_cast<int64_t>(x.size()) == input_dim_,
-                 "LSTM x size mismatch");
-    REUSE_ASSERT(static_cast<int64_t>(h_prev.size()) == cell_dim_,
-                 "LSTM h size mismatch");
-    Preacts preacts;
-    const Tensor x_t(Shape({input_dim_}), x);
-    const Tensor h_t(Shape({cell_dim_}), h_prev);
-    for (int g = 0; g < NumLstmGates; ++g) {
-        const Tensor zx = wx_[static_cast<size_t>(g)]->forward(x_t);
-        const Tensor zh = wh_[static_cast<size_t>(g)]->forward(h_t);
-        auto &z = preacts[static_cast<size_t>(g)];
-        z.resize(static_cast<size_t>(cell_dim_));
-        for (int64_t j = 0; j < cell_dim_; ++j)
-            z[static_cast<size_t>(j)] = zx[j] + zh[j];
+    const size_t n = static_cast<size_t>(cell_dim_);
+    for (size_t g = 0; g < NumLstmGates; ++g) {
+        const float *bx = wx_[g]->biases().data();
+        const float *bh = wh_[g]->biases().data();
+        auto &z = preacts[g];
+        z.resize(n);
+        for (size_t j = 0; j < n; ++j)
+            z[j] = bx[j] + bh[j];
+        kernels::applyDeltas(x_rows, wx_[g]->weights().data(), cell_dim_,
+                             z.data());
+        kernels::applyDeltas(h_rows, wh_[g]->weights().data(), cell_dim_,
+                             z.data());
     }
-    return preacts;
 }
 
-LstmCell::State
-LstmCell::finishStep(const Preacts &preacts,
-                     const AlignedVector<float> &c_prev) const
+void
+LstmCell::finishStep(const Preacts &preacts, State &state) const
 {
-    REUSE_ASSERT(static_cast<int64_t>(c_prev.size()) == cell_dim_,
-                 "LSTM c size mismatch");
-    State s;
-    s.h.resize(static_cast<size_t>(cell_dim_));
-    s.c.resize(static_cast<size_t>(cell_dim_));
-    const auto &zi = preacts[GateInput];
-    const auto &zf = preacts[GateForget];
-    const auto &zg = preacts[GateCell];
-    const auto &zo = preacts[GateOutput];
-    for (size_t j = 0; j < s.h.size(); ++j) {
-        const float i_t = sigmoid(zi[j]);
-        const float f_t = sigmoid(zf[j]);
-        const float g_t = std::tanh(zg[j]);
-        const float o_t = sigmoid(zo[j]);
-        const float c_t = f_t * c_prev[j] + i_t * g_t;   // Eq. 7
-        s.c[j] = c_t;
-        s.h[j] = o_t * std::tanh(c_t);                   // Eq. 8
-    }
-    return s;
+    REUSE_ASSERT(static_cast<int64_t>(state.c.size()) == cell_dim_ &&
+                     static_cast<int64_t>(state.h.size()) == cell_dim_,
+                 "LSTM state size mismatch");
+    kernels::lstmTail({preacts[GateInput].data(),
+                       preacts[GateForget].data(),
+                       preacts[GateCell].data(),
+                       preacts[GateOutput].data()},
+                      cell_dim_, state.c.data(), state.h.data());
 }
 
-LstmCell::State
-LstmCell::step(const AlignedVector<float> &x, const State &prev) const
+void
+LstmCell::step(const float *x, State &state, Workspace &ws) const
 {
-    return finishStep(computePreacts(x, prev.h), prev.c);
+    kernels::collectRows(x, input_dim_, ws.x_rows);
+    kernels::collectRows(state.h.data(), cell_dim_, ws.h_rows);
+    computePreacts(ws.x_rows, ws.h_rows, ws.preacts);
+    finishStep(ws.preacts, state);
 }
 
 int64_t
@@ -134,14 +123,12 @@ LstmLayer::forwardSequence(const std::vector<Tensor> &inputs) const
     std::vector<Tensor> outputs;
     outputs.reserve(inputs.size());
     LstmCell::State state = cell_.initialState();
+    LstmCell::Workspace ws;
     for (const Tensor &in : inputs) {
         REUSE_ASSERT(in.numel() == input_dim_,
                      name() << ": step input size mismatch");
-        state = cell_.step(in.data(), state);
-        Tensor out(Shape({cell_dim_}));
-        for (int64_t j = 0; j < cell_dim_; ++j)
-            out[j] = state.h[static_cast<size_t>(j)];
-        outputs.push_back(std::move(out));
+        cell_.step(in.data().data(), state, ws);
+        outputs.emplace_back(Shape({cell_dim_}), state.h);
     }
     return outputs;
 }
@@ -187,26 +174,36 @@ BiLstmLayer::forward(const Tensor &input) const
 std::vector<Tensor>
 BiLstmLayer::forwardSequence(const std::vector<Tensor> &inputs) const
 {
-    const size_t t_len = inputs.size();
-    std::vector<Tensor> outputs(t_len, Tensor(Shape({outputDim()})));
+    return forwardSequence(inputs, kernels::defaultDispatch());
+}
 
-    // Forward direction.
-    LstmCell::State state = forward_cell_.initialState();
+std::vector<Tensor>
+BiLstmLayer::forwardSequence(const std::vector<Tensor> &inputs,
+                             const kernels::DeltaDispatch &dispatch) const
+{
+    const size_t t_len = inputs.size();
     for (size_t t = 0; t < t_len; ++t) {
         REUSE_ASSERT(inputs[t].numel() == input_dim_,
                      name() << ": step " << t << " input size mismatch");
-        state = forward_cell_.step(inputs[t].data(), state);
-        for (int64_t j = 0; j < cell_dim_; ++j)
-            outputs[t][j] = state.h[static_cast<size_t>(j)];
     }
-
-    // Backward direction.
-    state = backward_cell_.initialState();
-    for (size_t t = t_len; t-- > 0;) {
-        state = backward_cell_.step(inputs[t].data(), state);
-        for (int64_t j = 0; j < cell_dim_; ++j)
-            outputs[t][cell_dim_ + j] = state.h[static_cast<size_t>(j)];
-    }
+    std::vector<Tensor> outputs(t_len, Tensor(Shape({outputDim()})));
+    // One direction over the sequence, writing h_t into its half of
+    // each output (offset 0 forward, cell_dim backward).
+    const auto run = [&](const LstmCell &cell, bool backward) {
+        LstmCell::State state = cell.initialState();
+        LstmCell::Workspace ws;
+        const int64_t offset = backward ? cell_dim_ : 0;
+        for (size_t k = 0; k < t_len; ++k) {
+            const size_t t = backward ? t_len - 1 - k : k;
+            cell.step(inputs[t].data().data(), state, ws);
+            std::copy(state.h.begin(), state.h.end(),
+                      outputs[t].data().begin() + offset);
+        }
+    };
+    kernels::runPair(
+        forward_cell_.macCountPerStep() * static_cast<int64_t>(t_len),
+        [&] { run(forward_cell_, false); },
+        [&] { run(backward_cell_, true); }, dispatch);
     return outputs;
 }
 

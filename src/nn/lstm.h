@@ -16,6 +16,8 @@
 #include <array>
 
 #include "common/aligned.h"
+#include "kernels/change_list.h"
+#include "kernels/dispatch.h"
 #include "nn/fully_connected.h"
 #include "nn/layer.h"
 
@@ -35,7 +37,9 @@ enum LstmGate : int {
  *
  * The cell's per-step state is (h, c); stepping the cell computes the
  * four gate pre-activations, then combines them elementwise (Eqs. 7-8).
- * The biases b_* are folded into the feed-forward sublayers.
+ * The biases b_* are folded into the feed-forward sublayers.  A step
+ * updates the state in place and allocates nothing once the buffers
+ * it reuses are sized.
  */
 class LstmCell
 {
@@ -49,6 +53,13 @@ class LstmCell
     /** Gate pre-activations before sigma/phi are applied. */
     using Preacts =
         std::array<AlignedVector<float>, NumLstmGates>;
+
+    /** Buffers a from-scratch step reuses from one step to the next. */
+    struct Workspace {
+        Preacts preacts;
+        kernels::ChangeList x_rows;  ///< Nonzero entries of x_t.
+        kernels::ChangeList h_rows;  ///< Nonzero entries of h_{t-1}.
+    };
 
     /**
      * @param input_dim Dimension of the feed-forward input x_t.
@@ -84,20 +95,23 @@ class LstmCell
 
     /**
      * Computes the four gate pre-activations from scratch:
-     * z_g = Wx_g x + Wh_g h_prev + b_g.
+     * z_g = (bx_g + bh_g) + Wx_g x + Wh_g h_prev, accumulated in
+     * ascending input order, x before h_prev.  The inputs come as
+     * their nonzero rows (kernels::collectRows / quantizeRows), which
+     * the four gates share.
      */
-    Preacts computePreacts(const AlignedVector<float> &x,
-                           const AlignedVector<float> &h_prev) const;
+    void computePreacts(const kernels::ChangeList &x_rows,
+                        const kernels::ChangeList &h_rows,
+                        Preacts &preacts) const;
 
     /**
-     * Elementwise tail of the step: applies gate nonlinearities and
-     * Eqs. 7-8 to produce (h_t, c_t) from pre-activations and c_{t-1}.
+     * Elementwise tail of the step (Eqs. 7-8): updates `state` from
+     * the pre-activations, c_t in place of c_{t-1}, then h_t.
      */
-    State finishStep(const Preacts &preacts,
-                     const AlignedVector<float> &c_prev) const;
+    void finishStep(const Preacts &preacts, State &state) const;
 
-    /** Full step: computePreacts + finishStep. */
-    State step(const AlignedVector<float> &x, const State &prev) const;
+    /** Full step in place: computePreacts + finishStep. */
+    void step(const float *x, State &state, Workspace &ws) const;
 
     /** Total trainable parameters in the cell. */
     int64_t paramCount() const;
@@ -152,7 +166,11 @@ class LstmLayer : public Layer
 /**
  * Bidirectional LSTM layer: a forward and a backward cell run over the
  * sequence; per-step outputs are the concatenation [h_fw ; h_bw], so
- * the layer's output dimension is 2 * cell_dim (Fig. 2).
+ * the layer's output dimension is 2 * cell_dim (Fig. 2).  The two
+ * directions are independent: above the kernel threading threshold
+ * the backward one runs on the kernel pool while the caller runs the
+ * forward one (kernels::runPair), each filling its half of the
+ * outputs, with the same bits as one after the other.
  */
 class BiLstmLayer : public Layer
 {
@@ -169,6 +187,10 @@ class BiLstmLayer : public Layer
     Tensor forward(const Tensor &input) const override;
     std::vector<Tensor>
     forwardSequence(const std::vector<Tensor> &inputs) const override;
+    /** forwardSequence() fanning the directions out on `dispatch`. */
+    std::vector<Tensor>
+    forwardSequence(const std::vector<Tensor> &inputs,
+                    const kernels::DeltaDispatch &dispatch) const;
     int64_t paramCount() const override;
     int64_t macCount(const Shape &input) const override;
     bool isRecurrent() const override { return true; }

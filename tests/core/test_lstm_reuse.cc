@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "common/checksum.h"
 #include "common/random.h"
 #include "core/lstm_reuse.h"
+#include "kernels/dispatch.h"
 #include "nn/initializers.h"
+#include "obs/trace_recorder.h"
 
 namespace reuse {
 namespace {
@@ -47,11 +51,12 @@ TEST(LstmCellReuse, FineQuantizationTracksReference)
     LstmCellReuseState state(cell, fineQuant(), fineQuant());
 
     LstmCell::State ref = cell.initialState();
+    LstmCell::Workspace ws;
     LayerExecRecord rec;
     const auto seq = randomSequence(rng, 6, 12, 0.3f);
     for (const Tensor &x : seq) {
-        const auto h = state.step(x.data(), rec);
-        ref = cell.step(x.data(), ref);
+        const auto &h = state.step(x.data(), rec);
+        cell.step(x.data().data(), ref, ws);
         for (size_t j = 0; j < h.size(); ++j)
             EXPECT_NEAR(h[j], ref.h[j], 2e-2f);
     }
@@ -186,6 +191,114 @@ TEST(BiLstmReuse, ResetBetweenSequences)
     for (size_t t = 0; t < out1.size(); ++t)
         for (int64_t j = 0; j < out1[t].numel(); ++j)
             EXPECT_FLOAT_EQ(out1[t][j], out2[t][j]);
+}
+
+/** Digest of a sequence's output bits. */
+uint64_t
+outputDigest(const std::vector<Tensor> &outputs)
+{
+    uint64_t h = checksumInit();
+    for (const Tensor &t : outputs)
+        checksumVector(h, t.data());
+    return h;
+}
+
+/** Digest of every field of a layer record (doubles by bits). */
+uint64_t
+recordDigest(const LayerExecRecord &rec)
+{
+    uint64_t h = checksumInit();
+    for (const int64_t v :
+         {rec.inputsChecked, rec.inputsChanged, rec.inputsNearMatched,
+          rec.inputsTotal, rec.outputsTotal, rec.macsFull,
+          rec.macsPerformed, rec.steps, rec.kernelExtent})
+        checksumValue(h, v);
+    checksumValue(h, rec.nearMatchDrift);
+    checksumValue(h, rec.kind);
+    checksumValue(h, rec.reuseEnabled);
+    checksumValue(h, rec.firstExecution);
+    return h;
+}
+
+/** EESEN's first BiLSTM (120 -> 2 x 320) and a 16-step sequence. */
+struct EesenSizedCase {
+    BiLstmLayer layer{"BiLSTM1", 120, 320};
+    std::vector<Tensor> seq;
+
+    EesenSizedCase()
+    {
+        Rng rng(61);
+        initLstm(layer, rng);
+        seq = randomSequence(rng, 120, 16, 0.2f);
+    }
+};
+
+TEST(BiLstmThreads, EesenSizedIsBitIdenticalAcrossPoolSizes)
+{
+    // One direction's MACs over the sequence pass the threading
+    // threshold, so pools with workers run the directions at once.
+    const EesenSizedCase tc;
+    ASSERT_GE(tc.layer.forwardCell().macCountPerStep() * 16,
+              kernels::kDefaultParallelMacThreshold);
+    uint64_t want[4] = {};
+    for (const size_t workers : {size_t{0}, size_t{1}, size_t{3}}) {
+        kernels::KernelThreadPool pool(workers);
+        kernels::DeltaDispatch dispatch;
+        dispatch.pool = &pool;
+        uint64_t got[4] = {};
+        got[0] = outputDigest(tc.layer.forwardSequence(tc.seq, dispatch));
+        // Near-match radius 1 so the records carry drift as well.
+        BiLstmReuseState state(tc.layer, coarseQuant(),
+                               coarseQuant(-1, 1), 1);
+        for (int pass = 0; pass < 2; ++pass) {
+            LayerExecRecord rec;
+            const auto out = state.executeSequence(tc.seq, rec, dispatch);
+            got[1] ^= outputDigest(out) + static_cast<uint64_t>(pass);
+            got[2] ^= recordDigest(rec) + static_cast<uint64_t>(pass);
+            ASSERT_GT(rec.inputsNearMatched, 0);
+            if (pass == 0)
+                state.reset();
+        }
+        state.hashInto(got[3]);
+        if (workers == 0) {
+            std::memcpy(want, got, sizeof(want));
+            continue;
+        }
+        EXPECT_EQ(got[0], want[0]) << workers << " workers: plain outputs";
+        EXPECT_EQ(got[1], want[1]) << workers << " workers: reuse outputs";
+        EXPECT_EQ(got[2], want[2]) << workers << " workers: records";
+        EXPECT_EQ(got[3], want[3]) << workers << " workers: state";
+    }
+}
+
+TEST(BiLstmThreads, TracedSequenceShowsBothDirectionsUnderOneFrame)
+{
+    const EesenSizedCase tc;
+    kernels::KernelThreadPool pool(1);
+    kernels::DeltaDispatch dispatch;
+    dispatch.pool = &pool;
+    BiLstmReuseState state(tc.layer, coarseQuant(), coarseQuant(-1, 1));
+    obs::TraceRecorder &recorder = obs::TraceRecorder::instance();
+    recorder.clear();
+    recorder.setSampleEvery(1);
+    {
+        obs::FrameTraceScope frame(5, 77);
+        LayerExecRecord rec;
+        state.executeSequence(tc.seq, rec, dispatch);
+    }
+    recorder.setSampleEvery(0);
+    const std::vector<obs::TraceEvent> events = recorder.snapshot();
+    recorder.clear();
+    // Every steady step scans x and h in each direction.
+    int64_t scans = 0;
+    for (const obs::TraceEvent &ev : events) {
+        if (ev.kind != obs::SpanKind::LayerScan)
+            continue;
+        ++scans;
+        EXPECT_EQ(ev.session, 5u);
+        EXPECT_EQ(ev.frame, 77u);
+    }
+    EXPECT_EQ(scans, 2 * 2 * (16 - 1));
 }
 
 } // namespace

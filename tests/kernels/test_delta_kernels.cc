@@ -161,11 +161,12 @@ TEST(Gemv, BlockedMatchesScalarBitExact)
             input[i] = 0.0f;
         std::vector<float> scalar(static_cast<size_t>(m));
         std::vector<float> blocked(static_cast<size_t>(m));
+        DeltaDispatch dispatch;
+        dispatch.arch = kernels::KernelArch::Blocked;
         kernels::gemvScalar(input.data(), n, weights.data(),
                             biases.data(), m, scalar.data());
-        kernels::gemvBlockedRange(input.data(), n, weights.data(),
-                                  biases.data(), m, 0, m,
-                                  blocked.data());
+        kernels::gemv(input.data(), n, weights.data(), biases.data(), m,
+                      blocked.data(), dispatch);
         for (int64_t o = 0; o < m; ++o) {
             ASSERT_EQ(scalar[static_cast<size_t>(o)],
                       blocked[static_cast<size_t>(o)])

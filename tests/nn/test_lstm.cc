@@ -42,7 +42,9 @@ TEST(LstmCell, StepMatchesManualGateEquations)
     prev.h = {0.3f};
     prev.c = {-0.2f};
     const AlignedVector<float> x = {0.7f};
-    const auto s = cell.step(x, prev);
+    LstmCell::State s = prev;
+    LstmCell::Workspace ws;
+    cell.step(x.data(), s, ws);
 
     const float zi = wx[0] * x[0] + wh[0] * prev.h[0] + b[0];
     const float zf = wx[1] * x[0] + wh[1] * prev.h[0] + b[1];
@@ -62,11 +64,12 @@ TEST(LstmCell, HiddenOutputBounded)
     LstmCell cell(8, 6);
     initLstm(cell, rng);
     LstmCell::State s = cell.initialState();
+    LstmCell::Workspace ws;
     for (int t = 0; t < 20; ++t) {
         AlignedVector<float> x(8);
         for (auto &v : x)
             v = rng.gaussian(0.0f, 2.0f);
-        s = cell.step(x, s);
+        cell.step(x.data(), s, ws);
         for (float h : s.h) {
             EXPECT_GT(h, -1.0f);
             EXPECT_LT(h, 1.0f);
@@ -83,9 +86,17 @@ TEST(LstmCell, PreactsPlusFinishEqualsStep)
     AlignedVector<float> x(5);
     for (auto &v : x)
         v = rng.gaussian(0.0f, 1.0f);
-    const auto preacts = cell.computePreacts(x, prev.h);
-    const auto s1 = cell.finishStep(preacts, prev.c);
-    const auto s2 = cell.step(x, prev);
+    kernels::ChangeList x_rows;
+    kernels::ChangeList h_rows;
+    kernels::collectRows(x.data(), 5, x_rows);
+    kernels::collectRows(prev.h.data(), 4, h_rows);
+    LstmCell::Preacts preacts;
+    cell.computePreacts(x_rows, h_rows, preacts);
+    LstmCell::State s1 = prev;
+    cell.finishStep(preacts, s1);
+    LstmCell::State s2 = prev;
+    LstmCell::Workspace ws;
+    cell.step(x.data(), s2, ws);
     for (size_t j = 0; j < s1.h.size(); ++j) {
         EXPECT_FLOAT_EQ(s1.h[j], s2.h[j]);
         EXPECT_FLOAT_EQ(s1.c[j], s2.c[j]);
@@ -119,15 +130,16 @@ TEST(BiLstm, OutputIsConcatOfDirections)
         EXPECT_EQ(o.shape(), Shape({8}));
 
     // Forward half at t=0 must equal one manual forward-cell step.
+    LstmCell::Workspace ws;
     auto s = layer.forwardCell().initialState();
-    s = layer.forwardCell().step(seq[0].data(), s);
+    layer.forwardCell().step(seq[0].data().data(), s, ws);
     for (int64_t j = 0; j < 4; ++j)
         EXPECT_FLOAT_EQ(out[0][j], s.h[static_cast<size_t>(j)]);
 
     // Backward half at the last step equals one backward-cell step on
     // the last input.
     auto sb = layer.backwardCell().initialState();
-    sb = layer.backwardCell().step(seq[4].data(), sb);
+    layer.backwardCell().step(seq[4].data().data(), sb, ws);
     for (int64_t j = 0; j < 4; ++j)
         EXPECT_FLOAT_EQ(out[4][4 + j], sb.h[static_cast<size_t>(j)]);
 }

@@ -40,8 +40,9 @@ TEST(LstmLayer, ForwardSequenceMatchesManualCellSteps)
     ASSERT_EQ(outs.size(), seq.size());
 
     LstmCell::State state = layer.cell().initialState();
+    LstmCell::Workspace ws;
     for (size_t t = 0; t < seq.size(); ++t) {
-        state = layer.cell().step(seq[t].data(), state);
+        layer.cell().step(seq[t].data().data(), state, ws);
         for (int64_t j = 0; j < 4; ++j)
             EXPECT_FLOAT_EQ(outs[t][j], state.h[static_cast<size_t>(j)]);
     }
