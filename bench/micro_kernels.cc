@@ -20,7 +20,12 @@
  *    times its scalar reference in the same run (the CI perf-smoke
  *    gates, all ratios of two timings from one run); each fc_gemv
  *    record also carries `gemv_vs_delta`, gemv over the 100% apply
- *    of the same rows, which CI bounds;
+ *    of the same rows, which CI bounds.  The `pool_records` time the
+ *    dispatched apply split over the kernel pool against the same
+ *    apply on the caller (`pool_vs_caller`) for the Kaldi, AutoPilot
+ *    and EESEN FC/gate shapes at several change fractions: the
+ *    measurement behind kDefaultParallelMacThreshold, which CI bounds
+ *    for every shape whose MACs reach the threshold;
  *  - `--arch`: prints the kernel dispatch decision (compiled and
  *    runnable families, the chosen arch, the REUSE_KERNELS
  *    override) and the probed memory peak, then exits.
@@ -33,16 +38,19 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/aligned.h"
+#include "common/math_utils.h"
 #include "common/random.h"
 #include "core/conv_reuse.h"
 #include "core/fc_reuse.h"
@@ -233,6 +241,28 @@ timeNs(int reps, int iters, Fn &&fn)
 }
 
 /**
+ * Times N forms of one operation alternately: `rounds` rounds, each
+ * timing every form in turn over `iters` invocations, and returns
+ * each form's best ns per invocation.  Host drift between rounds
+ * then hits every form alike, so their ratios are same-run
+ * comparisons rather than two separately drifting minima.
+ */
+template <size_t N>
+std::array<double, N>
+timeAlternating(int rounds, int iters,
+                const std::array<std::function<void()>, N> &forms)
+{
+    std::array<double, N> best{};
+    for (int r = 0; r < rounds; ++r) {
+        for (size_t f = 0; f < N; ++f) {
+            const double ns = timeNs(1, iters, forms[f]);
+            best[f] = r == 0 ? ns : std::min(best[f], ns);
+        }
+    }
+    return best;
+}
+
+/**
  * STREAM-style triad probe of the attainable memory bandwidth: the
  * roofline ceiling the delta kernels are measured against.  Three
  * arrays well past L2 (48 MB total), a[i] = b[i] + s * c[i], best of
@@ -328,20 +358,25 @@ benchFcDelta(int64_t n, int64_t m, double fraction, Rng &rng,
     const int64_t macs = rec.changed * m;
     const int iters = itersFor(macs);
     AlignedVector<float> out = base;
-    rec.scalar_ns = timeNs(5, iters, [&] {
-        kernels::applyDeltasScalar(changes, weights.data(), m,
-                                   out.data());
-    });
-    out = base;
-    rec.blocked_ns = timeNs(5, iters, [&] {
-        kernels::applyDeltasBlocked(changes, weights.data(), m,
-                                    out.data());
-    });
-    out = base;
-    rec.simd_ns = timeNs(5, iters, [&] {
-        kernels::applyDeltas(changes, weights.data(), m, out.data(),
-                             simd);
-    });
+    // Alternating, so the simd-vs-blocked gate compares two timings
+    // of the same rounds on this memory-bound kernel.
+    const std::array<double, 3> ns = timeAlternating<3>(
+        9, iters,
+        {[&] {
+             kernels::applyDeltasScalar(changes, weights.data(), m,
+                                        out.data());
+         },
+         [&] {
+             kernels::applyDeltasBlocked(changes, weights.data(), m,
+                                         out.data());
+         },
+         [&] {
+             kernels::applyDeltas(changes, weights.data(), m,
+                                  out.data(), simd);
+         }});
+    rec.scalar_ns = ns[0];
+    rec.blocked_ns = ns[1];
+    rec.simd_ns = ns[2];
     rec.speedup = rec.blocked_ns > 0.0 ? rec.scalar_ns / rec.blocked_ns
                                        : 0.0;
     rec.simd_vs_blocked =
@@ -410,21 +445,17 @@ benchFcGemv(int64_t n, int64_t m, Rng &rng, double peak_gbps)
     // time the two alternately so host drift hits both alike.
     kernels::ChangeList rows;
     kernels::collectRows(input.data(), n, rows);
-    double gemv_ns = 0.0;
-    double delta_ns = 0.0;
-    for (int r = 0; r < 11; ++r) {
-        const double g = timeNs(1, iters, [&] {
-            kernels::gemv(input.data(), n, weights.data(),
-                          biases.data(), m, out.data(), simd);
-        });
-        const double d = timeNs(1, iters, [&] {
-            kernels::applyDeltas(rows, weights.data(), m, out.data(),
-                                 simd);
-        });
-        gemv_ns = r == 0 ? g : std::min(gemv_ns, g);
-        delta_ns = r == 0 ? d : std::min(delta_ns, d);
-    }
-    rec.gemv_vs_delta = delta_ns > 0.0 ? gemv_ns / delta_ns : 0.0;
+    const std::array<double, 2> gd = timeAlternating<2>(
+        11, iters,
+        {[&] {
+             kernels::gemv(input.data(), n, weights.data(),
+                           biases.data(), m, out.data(), simd);
+         },
+         [&] {
+             kernels::applyDeltas(rows, weights.data(), m, out.data(),
+                                  simd);
+         }});
+    rec.gemv_vs_delta = gd[1] > 0.0 ? gd[0] / gd[1] : 0.0;
     rec.speedup = rec.blocked_ns > 0.0 ? rec.scalar_ns / rec.blocked_ns
                                        : 0.0;
     rec.simd_vs_blocked =
@@ -435,6 +466,93 @@ benchFcGemv(int64_t n, int64_t m, Rng &rng, double peak_gbps)
     rec.gbps = rec.simd_ns > 0.0 ? bytes / rec.simd_ns : 0.0;
     rec.roofline_pct =
         peak_gbps > 0.0 ? 100.0 * rec.gbps / peak_gbps : 0.0;
+    return rec;
+}
+
+/**
+ * The dispatched FC/LSTM apply of one layer shape split over the
+ * kernel pool against the same apply on the caller.
+ */
+struct PoolRecord {
+    std::string layer;  ///< "<model>.<layer>" the shape belongs to
+    int64_t n = 0;
+    int64_t m = 0;
+    double change_fraction = 0.0;
+    int64_t changed = 0;
+    int64_t macs = 0;
+    /** Pool slices the split apply runs (deltaSliceFloats). */
+    int64_t slices = 0;
+    double caller_ns = 0.0;
+    double pool_ns = 0.0;
+    /** pool / caller: below 1 the pool pays (CI bounds it at 1.05). */
+    double pool_vs_caller = 0.0;
+    bool bit_exact = false;
+};
+
+/**
+ * Times the dispatched apply of `changed` = fraction × n rows with
+ * threshold -1 (caller) and 0 (split over the global pool)
+ * alternately on the same weights.  Each call applies the next of
+ * several copies of the weights, together past the per-core L2, so
+ * the rows stream from the shared cache as in a network's frame,
+ * where the other layers' weights evict them between two applies.
+ */
+PoolRecord
+benchPool(const std::string &layer, int64_t n, int64_t m,
+          double fraction, Rng &rng)
+{
+    // A Kaldi frame's FC weights total about 18 MB.
+    constexpr int64_t kWeightSetBytes = 16 << 20;
+    PoolRecord rec;
+    rec.layer = layer;
+    rec.n = n;
+    rec.m = m;
+    rec.change_fraction = fraction;
+    rec.changed = static_cast<int64_t>(fraction * static_cast<double>(n));
+    rec.macs = rec.changed * m;
+    kernels::KernelThreadPool &pool = kernels::KernelThreadPool::global();
+    rec.slices =
+        ceilDiv(m, kernels::deltaSliceFloats(m, pool.workerCount()));
+
+    const int64_t copies =
+        std::max<int64_t>(1, ceilDiv(kWeightSetBytes, n * m * 4));
+    AlignedVector<float> weights(static_cast<size_t>(copies * n * m));
+    rng.fillGaussian(weights, 0.0f, 0.1f);
+    AlignedVector<float> base(static_cast<size_t>(m));
+    rng.fillGaussian(base, 0.0f, 1.0f);
+    const kernels::ChangeList changes = exactChanges(n, rec.changed, rng);
+    const kernels::DeltaDispatch caller = simdDispatch();
+    kernels::DeltaDispatch pooled = caller;
+    pooled.parallel_mac_threshold = 0;
+
+    AlignedVector<float> caller_out = base;
+    AlignedVector<float> pool_out = base;
+    kernels::applyDeltas(changes, weights.data(), m, caller_out.data(),
+                         caller);
+    kernels::applyDeltas(changes, weights.data(), m, pool_out.data(),
+                         pooled);
+    rec.bit_exact = std::memcmp(caller_out.data(), pool_out.data(),
+                                base.size() * sizeof(float)) == 0;
+
+    AlignedVector<float> out = base;
+    int64_t next = 0;
+    const auto nextWeights = [&] {
+        next = next + 1 < copies ? next + 1 : 0;
+        return weights.data() + next * n * m;
+    };
+    const std::array<double, 2> ns = timeAlternating<2>(
+        11, itersFor(rec.macs),
+        {[&] {
+             kernels::applyDeltas(changes, nextWeights(), m, out.data(),
+                                  caller);
+         },
+         [&] {
+             kernels::applyDeltas(changes, nextWeights(), m, out.data(),
+                                  pooled);
+         }});
+    rec.caller_ns = ns[0];
+    rec.pool_ns = ns[1];
+    rec.pool_vs_caller = ns[0] > 0.0 ? ns[1] / ns[0] : 0.0;
     return rec;
 }
 
@@ -614,6 +732,7 @@ cpuModel()
 void
 writeJson(const std::string &path,
           const std::vector<KernelRecord> &records,
+          const std::vector<PoolRecord> &pool_records,
           const std::vector<ConvRecord> &conv_records, double peak_gbps)
 {
     std::ofstream out(path);
@@ -625,9 +744,14 @@ writeJson(const std::string &path,
         << ", \"arch\": \""
         << kernels::archName(kernels::defaultDispatch().arch)
         << "\"},\n";
-    char peak[64];
-    std::snprintf(peak, sizeof(peak),
-                  "  \"memory_peak_gbps\": %.3f,\n", peak_gbps);
+    char peak[160];
+    std::snprintf(
+        peak, sizeof(peak),
+        "  \"memory_peak_gbps\": %.3f,\n  \"pool_workers\": %zu,\n"
+        "  \"parallel_mac_threshold\": %lld,\n",
+        peak_gbps, kernels::KernelThreadPool::global().workerCount(),
+        static_cast<long long>(
+            kernels::defaultDispatch().parallel_mac_threshold));
     out << peak << "  \"records\": [\n";
     for (size_t i = 0; i < records.size(); ++i) {
         const KernelRecord &r = records[i];
@@ -648,6 +772,26 @@ writeJson(const std::string &path,
             r.simd_vs_blocked, r.gbps, r.roofline_pct, r.gemv_vs_delta,
             r.bit_exact ? "true" : "false",
             i + 1 < records.size() ? "," : "");
+        out << buf;
+    }
+    out << "  ],\n  \"pool_records\": [\n";
+    for (size_t i = 0; i < pool_records.size(); ++i) {
+        const PoolRecord &r = pool_records[i];
+        char buf[512];
+        std::snprintf(
+            buf, sizeof(buf),
+            "    {\"layer\": \"%s\", \"n\": %lld, \"m\": %lld, "
+            "\"change_fraction\": %.2f, \"changed\": %lld, "
+            "\"macs\": %lld, \"slices\": %lld, \"caller_ns\": %.1f, "
+            "\"pool_ns\": %.1f, \"pool_vs_caller\": %.3f, "
+            "\"bit_exact\": %s}%s\n",
+            r.layer.c_str(), static_cast<long long>(r.n),
+            static_cast<long long>(r.m), r.change_fraction,
+            static_cast<long long>(r.changed),
+            static_cast<long long>(r.macs),
+            static_cast<long long>(r.slices), r.caller_ns, r.pool_ns,
+            r.pool_vs_caller, r.bit_exact ? "true" : "false",
+            i + 1 < pool_records.size() ? "," : "");
         out << buf;
     }
     out << "  ],\n  \"conv_records\": [\n";
@@ -700,6 +844,27 @@ runJsonBench(const std::string &json_path, double min_speedup,
         records.push_back(benchFcGemv(s.n, s.m, rng, peak_gbps));
     }
 
+    // The FC layers and LSTM gate matrices (input-major n x m) of the
+    // paper's workloads, at change fractions around their measured
+    // reuse; 100% is the from-scratch gemv's apply.
+    std::vector<PoolRecord> pool_records;
+    const struct {
+        const char *layer;
+        int64_t n, m;
+    } pool_shapes[] = {{"kaldi.FC1", 360, 360},
+                       {"kaldi.FC2", 360, 2000},
+                       {"kaldi.FC3-5", 400, 2000},
+                       {"kaldi.FC6", 400, 3482},
+                       {"autopilot.FC1", 1152, 1164},
+                       {"eesen.BiLSTM1.Wx", 120, 320},
+                       {"eesen.BiLSTM2-5.Wx", 640, 320},
+                       {"eesen.Wh", 320, 320}};
+    for (const auto &s : pool_shapes) {
+        for (const double fraction : {0.05, 0.1, 0.2, 0.4, 1.0})
+            pool_records.push_back(
+                benchPool(s.layer, s.n, s.m, fraction, rng));
+    }
+
     std::vector<ConvRecord> conv_records;
     {
         Rng model_rng(42);
@@ -712,7 +877,7 @@ runJsonBench(const std::string &json_path, double min_speedup,
                         conv_records);
     }
 
-    writeJson(json_path, records, conv_records, peak_gbps);
+    writeJson(json_path, records, pool_records, conv_records, peak_gbps);
 
     int rc = 0;
     for (const KernelRecord &r : records) {
@@ -758,6 +923,28 @@ runJsonBench(const std::string &json_path, double min_speedup,
             rc = 1;
         }
     }
+    const int64_t threshold =
+        kernels::defaultDispatch().parallel_mac_threshold;
+    for (const PoolRecord &r : pool_records) {
+        std::printf("pool %-19s n=%5lld m=%5lld changed=%5lld (%3.0f%%) "
+                    "macs %8lld  %lld slices  caller %9.1f ns  pool "
+                    "%9.1f ns  pool/caller %5.2fx%s  %s\n",
+                    r.layer.c_str(), static_cast<long long>(r.n),
+                    static_cast<long long>(r.m),
+                    static_cast<long long>(r.changed),
+                    100.0 * r.change_fraction,
+                    static_cast<long long>(r.macs),
+                    static_cast<long long>(r.slices), r.caller_ns,
+                    r.pool_ns, r.pool_vs_caller,
+                    threshold >= 0 && r.macs >= threshold ? " (split)"
+                                                          : "",
+                    r.bit_exact ? "bit-exact" : "MISMATCH");
+        if (!r.bit_exact) {
+            std::printf("FAIL: pool apply %s not bit-exact\n",
+                        r.layer.c_str());
+            rc = 1;
+        }
+    }
     for (const ConvRecord &r : conv_records) {
         std::printf("conv %-16s %-16s forward %6.2f GMAC/s  delta@%2.0f%% "
                     "scalar %6.1f  blocked %6.1f  simd %6.1f ns/change  "
@@ -781,8 +968,10 @@ runJsonBench(const std::string &json_path, double min_speedup,
             rc = 1;
         }
     }
-    std::printf("wrote %s (%zu records, %zu conv records)\n",
-                json_path.c_str(), records.size(), conv_records.size());
+    std::printf("wrote %s (%zu records, %zu pool records, %zu conv "
+                "records)\n",
+                json_path.c_str(), records.size(), pool_records.size(),
+                conv_records.size());
     return rc;
 }
 
@@ -811,6 +1000,8 @@ printArch()
     std::printf("\nREUSE_KERNELS: %s\n", env ? env : "(unset)");
     std::printf("parallel_mac_threshold: %lld\n",
                 static_cast<long long>(d.parallel_mac_threshold));
+    std::printf("pool workers: %zu\n",
+                kernels::KernelThreadPool::global().workerCount());
     std::printf("memory peak: %.2f GB/s\n", probeMemoryPeakGbps());
     return 0;
 }

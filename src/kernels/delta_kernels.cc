@@ -17,6 +17,7 @@
 
 #include <algorithm>
 
+#include "common/math_utils.h"
 #include "kernels/conv_windows.h"
 #include "kernels/poly_math.h"
 #include "kernels/simd_kernels.h"
@@ -33,6 +34,7 @@ poolOf(const DeltaDispatch &dispatch)
                                     : KernelThreadPool::global();
 }
 
+/** True when an update of `macs` MACs runs split over the pool. */
 bool
 shouldThread(const DeltaDispatch &dispatch, KernelThreadPool &pool,
              int64_t macs)
@@ -76,6 +78,13 @@ applyRangeFor(KernelArch arch)
 // ---------------------------------------------------------------
 // FC / LSTM-gate delta update.
 // ---------------------------------------------------------------
+
+int64_t
+deltaSliceFloats(int64_t m, size_t workers)
+{
+    return roundUp(ceilDiv(m, static_cast<int64_t>(workers) + 1),
+                   kCacheLineFloats);
+}
 
 void
 applyDeltasBlockedRange(const ChangeList &changes, const float *weights,
@@ -147,7 +156,7 @@ applyDeltas(const ChangeList &changes, const float *weights, int64_t m,
     KernelThreadPool &pool = poolOf(dispatch);
     const int64_t macs = static_cast<int64_t>(changes.size()) * m;
     if (shouldThread(dispatch, pool, macs)) {
-        pool.parallelFor(m, kDeltaChunkFloats,
+        pool.parallelFor(m, deltaSliceFloats(m, pool.workerCount()),
                          [&](int64_t begin, int64_t end) {
                              range(changes, weights, m, begin, end,
                                    out);
@@ -214,6 +223,55 @@ lstmTail(const LstmGateRows &z, int64_t n, float *c, float *h,
         cell[j] = c_t;
         hidden[j] = poly::sigmoid(zo[j]) * poly::tanh(c_t);
     }
+}
+
+// ---------------------------------------------------------------
+// Softmax.
+// ---------------------------------------------------------------
+
+void
+softmax(float *x, int64_t n, KernelArch arch)
+{
+    if (arch == KernelArch::Scalar) {
+        softmaxScalar(x, n);
+        return;
+    }
+    if (n <= 0)
+        return;
+    float *__restrict v = x;
+    // Whole rows of kSoftmaxLanes, then the tail into lanes 0..: the
+    // scalar reference's lane j mod kSoftmaxLanes, as unit-stride
+    // lane loops the compiler vectorizes.
+    const int64_t body = n - n % kSoftmaxLanes;
+    float lane_max[kSoftmaxLanes];
+    for (int64_t l = 0; l < kSoftmaxLanes; ++l)
+        lane_max[l] = v[0];
+    for (int64_t j = 0; j < body; j += kSoftmaxLanes) {
+        for (int64_t l = 0; l < kSoftmaxLanes; ++l)
+            lane_max[l] = v[j + l] > lane_max[l] ? v[j + l] : lane_max[l];
+    }
+    for (int64_t j = body; j < n; ++j) {
+        const int64_t l = j - body;
+        lane_max[l] = v[j] > lane_max[l] ? v[j] : lane_max[l];
+    }
+    float max_v = lane_max[0];
+    for (int64_t l = 1; l < kSoftmaxLanes; ++l)
+        max_v = lane_max[l] > max_v ? lane_max[l] : max_v;
+    for (int64_t j = 0; j < n; ++j)
+        v[j] = poly::exp(v[j] - max_v);
+    double lane_sum[kSoftmaxLanes] = {};
+    for (int64_t j = 0; j < body; j += kSoftmaxLanes) {
+        for (int64_t l = 0; l < kSoftmaxLanes; ++l)
+            lane_sum[l] += v[j + l];
+    }
+    for (int64_t j = body; j < n; ++j)
+        lane_sum[j - body] += v[j];
+    double denom = 0.0;
+    for (int64_t l = 0; l < kSoftmaxLanes; ++l)
+        denom += lane_sum[l];
+    const float inv = static_cast<float>(1.0 / denom);
+    for (int64_t j = 0; j < n; ++j)
+        v[j] *= inv;
 }
 
 // ---------------------------------------------------------------

@@ -22,11 +22,15 @@
  * change order), so their results are bit-identical (fuzz-tested).
  * The dispatching entry points pick the implementation at runtime
  * (REUSE_KERNELS forces a family; see dispatch.h).  The FC/LSTM
- * apply (and the GEMV, which runs through it) also partitions the
- * output range over the kernel thread pool when the update is large
- * enough (changed × outputs ≥ threshold), which preserves
- * bit-exactness because chunk boundaries are deterministic and
- * disjoint.
+ * apply (and the GEMV, which runs through it) also splits the output
+ * range over the kernel thread pool when the update is large enough
+ * (changed × outputs ≥ the dispatch's threshold): one slice per
+ * thread, the caller plus the workers, each a whole number of
+ * 64-byte cache lines (deltaSliceFloats).  That keeps the result
+ * bit-identical for any slicing and any pool size: every output
+ * element is written by exactly one slice, and its accumulation
+ * chain (ascending change order, separate mul and add) is the same
+ * wherever a slice is cut.
  *
  * All kernels operate on raw pointers: weights are input-major
  * (weight(i, o) at w[i * m + o], the paper's interleaved Weights
@@ -38,6 +42,7 @@
 #ifndef REUSE_DNN_KERNELS_DELTA_KERNELS_H
 #define REUSE_DNN_KERNELS_DELTA_KERNELS_H
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 
@@ -51,8 +56,17 @@ namespace kernels {
 /** Output-block size of the blocked kernels: 4 KB of float32. */
 constexpr int64_t kDeltaBlockFloats = 1024;
 
-/** Thread-pool chunk: 4 blocks (16 KB) per unit of work. */
-constexpr int64_t kDeltaChunkFloats = 4 * kDeltaBlockFloats;
+/** Floats per 64-byte cache line: the unit a pool slice is cut in. */
+constexpr int64_t kCacheLineFloats = 16;
+
+/**
+ * Floats per pool slice of an m-output apply on a pool with
+ * `workers` workers: m spread evenly over the workers + 1 threads
+ * (the caller takes a slice too), rounded up to whole cache lines so
+ * no two slices write the same line.  Kaldi FC6 (m = 3482) on 3
+ * workers gets four slices of 880, 880, 880 and 842 floats.
+ */
+int64_t deltaSliceFloats(int64_t m, size_t workers);
 
 // ---------------------------------------------------------------
 // Fully-connected / LSTM-gate delta update:
@@ -72,7 +86,12 @@ void applyDeltasBlockedRange(const ChangeList &changes,
 void applyDeltasBlocked(const ChangeList &changes, const float *weights,
                         int64_t m, float *out);
 
-/** Dispatched form (CPUID arch choice + optional threading). */
+/**
+ * Dispatched form: the CPUID arch choice, split over the dispatch's
+ * pool in deltaSliceFloats slices when changed × m reaches
+ * dispatch.parallel_mac_threshold and the pool has workers, else on
+ * the caller.
+ */
 void applyDeltas(const ChangeList &changes, const float *weights,
                  int64_t m, float *out,
                  const DeltaDispatch &dispatch = defaultDispatch());
@@ -138,6 +157,29 @@ float tailSigmoid(float x);
 float tailTanh(float x);
 
 // ---------------------------------------------------------------
+// Softmax over n values, in place (the Kaldi and EESEN output
+// layers):  x[j] = e^(x[j] - max) / sum_k e^(x[k] - max),
+// with poly_math.h's exp.  The max and the sum run in
+// kSoftmaxLanes partials (element j in lane j mod kSoftmaxLanes;
+// the sum in double), combined in lane order, so the scalar
+// reference and the vectorized form perform the same operations in
+// the same order and every arch computes the same bits.
+// ---------------------------------------------------------------
+
+/** Partial maxima / sums of the softmax. */
+constexpr int64_t kSoftmaxLanes = 16;
+
+/** Scalar reference of the softmax. */
+void softmaxScalar(float *x, int64_t n);
+
+/** Dispatched (vectorized unless the arch is Scalar) softmax. */
+void softmax(float *x, int64_t n,
+             KernelArch arch = defaultDispatch().arch);
+
+/** The softmax's exp on one value (accuracy tests). */
+float softmaxExp(float x);
+
+// ---------------------------------------------------------------
 // Convolution delta update: every output neuron whose receptive
 // field covers a changed input is corrected by delta * weight.
 // Change positions are flat input indices (ci, y, x) / (ci, d, y, x)
@@ -151,9 +193,10 @@ float tailTanh(float x);
 // from a closed form (conv_windows.h).  AVX-512 runs a masked
 // unit-stride row; every other non-scalar arch runs the blocked
 // (auto-vectorized) row.  The conv kernels always run on the
-// caller: splitting an HWC row across threads would share cache
-// lines, and one layer's update is too small to amortize a pool
-// dispatch (see DESIGN.md §9).
+// caller: a prototype that split the AVX-512 conv2d apply into four
+// output-row bands on the pool moved autopilot-stream's
+// frame_us_p50 by -1 to -6% but its frame_us_p99 by +38 to +52% over
+// 3 A/B pairs on a 4-vCPU AVX-512 host (see DESIGN.md §9).
 // ---------------------------------------------------------------
 
 /** Geometry of a 2D conv delta update (valid padding + stride). */

@@ -72,6 +72,40 @@ tailTanh(float x)
     return poly::tanh(x);
 }
 
+void
+softmaxScalar(float *x, int64_t n)
+{
+    if (n <= 0)
+        return;
+    float lane_max[kSoftmaxLanes];
+    for (int64_t l = 0; l < kSoftmaxLanes; ++l)
+        lane_max[l] = x[0];
+    for (int64_t j = 0; j < n; ++j) {
+        const int64_t l = j % kSoftmaxLanes;
+        lane_max[l] = x[j] > lane_max[l] ? x[j] : lane_max[l];
+    }
+    float max_v = lane_max[0];
+    for (int64_t l = 1; l < kSoftmaxLanes; ++l)
+        max_v = lane_max[l] > max_v ? lane_max[l] : max_v;
+    double lane_sum[kSoftmaxLanes] = {};
+    for (int64_t j = 0; j < n; ++j) {
+        x[j] = poly::exp(x[j] - max_v);
+        lane_sum[j % kSoftmaxLanes] += x[j];
+    }
+    double denom = 0.0;
+    for (int64_t l = 0; l < kSoftmaxLanes; ++l)
+        denom += lane_sum[l];
+    const float inv = static_cast<float>(1.0 / denom);
+    for (int64_t j = 0; j < n; ++j)
+        x[j] *= inv;
+}
+
+float
+softmaxExp(float x)
+{
+    return poly::exp(x);
+}
+
 namespace {
 
 /** One window's row update, one output channel at a time. */

@@ -22,11 +22,20 @@ namespace reuse {
 namespace kernels {
 
 /**
- * Default MAC threshold (changed × outputs) above which a dispatched
- * kernel partitions its output range across the thread pool.  Below
- * it, threading overhead exceeds the win.
+ * Default MAC threshold (changed × outputs) at which a dispatched
+ * FC/LSTM apply or GEMV splits its output range over the thread
+ * pool, and at which the BiLSTM directions run at once.  Measured by
+ * `micro_kernels --json` (pool_records: the split apply against the
+ * same apply on the caller, alternately, with the weights streaming
+ * from the shared cache), 8 runs on a 4-vCPU AVX-512 host with 3
+ * workers: every Kaldi/AutoPilot shape of 262k MACs or more split in
+ * a median 0.42–0.74x (at most 0.95x) of the caller's time;
+ * 144k–205k MACs broke even (medians 0.87–0.94x, up to 1.03x);
+ * 100k–140k MACs lost (medians 1.40–1.56x: AutoPilot FC1 at 10%,
+ * Kaldi FC1 at 100% and FC6 at 10%), and below 100k MACs waking the
+ * workers costs more than the apply itself.
  */
-constexpr int64_t kDefaultParallelMacThreshold = 1 << 20;
+constexpr int64_t kDefaultParallelMacThreshold = 1 << 18;
 
 /**
  * Runtime kernel-dispatch configuration.  The process-wide default

@@ -2,8 +2,8 @@
  * @file
  * Small persistent thread pool for intra-layer kernel parallelism.
  *
- * Large FC / LSTM-gate delta updates partition their output range
- * across the pool so single-session latency improves, not just
+ * Large FC / LSTM-gate delta updates and GEMVs split their output
+ * range across the pool so single-session latency improves, not just
  * cross-session throughput (the serve worker pool parallelizes
  * across sessions; this pool parallelizes inside one layer).
  *
@@ -15,9 +15,14 @@
  * nesting cannot deadlock and no caller queues behind another's job.
  *
  * Determinism: chunk boundaries depend only on (total, grain), never
- * on the worker count or scheduling, and chunks are disjoint — so a
- * kernel whose chunks don't overlap produces bit-identical results
- * for any pool size, including zero workers (inline execution).
+ * on scheduling, and chunks are disjoint; the inline path keeps the
+ * same boundaries.  A kernel whose result per element does not
+ * depend on where the range is cut therefore gives bit-identical
+ * results for any grain and any pool size, including zero workers.
+ * The FC/LSTM delta apply is such a kernel (each output's
+ * accumulation chain is the same in any slice), so it sizes its
+ * grain from workerCount() — one cache-line-rounded slice per thread
+ * (kernels::deltaSliceFloats) — without giving up bit-exactness.
  */
 
 #ifndef REUSE_DNN_KERNELS_THREAD_POOL_H

@@ -4,6 +4,7 @@
 
 #include "common/math_utils.h"
 #include "ir/op_shapes.h"
+#include "kernels/delta_kernels.h"
 
 namespace reuse {
 
@@ -50,19 +51,9 @@ applyActivation(ActivationKind kind, Tensor &t)
         break;
       case ActivationKind::Identity:
         break;
-      case ActivationKind::Softmax: {
-        // Subtract the max for numerical stability.
-        const float max_v = t.maxValue();
-        double denom = 0.0;
-        for (int64_t i = 0; i < n; ++i) {
-            t[i] = std::exp(t[i] - max_v);
-            denom += t[i];
-        }
-        const float inv = static_cast<float>(1.0 / denom);
-        for (int64_t i = 0; i < n; ++i)
-            t[i] *= inv;
+      case ActivationKind::Softmax:
+        kernels::softmax(t.data().data(), n);
         break;
-      }
     }
 }
 

@@ -8,9 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <cstring>
+#include <string>
 #include <vector>
 
+#include "common/math_utils.h"
 #include "common/random.h"
 #include "kernels/change_list.h"
 #include "kernels/delta_kernels.h"
@@ -200,6 +205,122 @@ TEST(Gemv, ThreadedMatchesScalarBitExact)
         ASSERT_EQ(scalar[static_cast<size_t>(o)],
                   threaded[static_cast<size_t>(o)]);
 }
+
+TEST(PoolSlices, WholeCacheLinesSpreadOverTheThreads)
+{
+    // Kaldi FC6 on 3 workers: four slices, not one 16 KB chunk.
+    EXPECT_EQ(kernels::deltaSliceFloats(3482, 3), 880);
+    EXPECT_EQ(kernels::deltaSliceFloats(2000, 3), 512);
+    EXPECT_EQ(kernels::deltaSliceFloats(2000, 1), 1008);
+    EXPECT_EQ(kernels::deltaSliceFloats(360, 0), 368);
+    for (int64_t m = 1; m <= 5000; m += 7) {
+        for (const size_t workers : {0, 1, 2, 3, 7}) {
+            const int64_t slice = kernels::deltaSliceFloats(m, workers);
+            ASSERT_EQ(slice % kernels::kCacheLineFloats, 0) << m;
+            ASSERT_GE(slice, kernels::kCacheLineFloats) << m;
+            ASSERT_LE(ceilDiv(m, slice),
+                      static_cast<int64_t>(workers) + 1)
+                << "m=" << m << " workers=" << workers;
+        }
+    }
+}
+
+/** Chunks run since the last reset (KernelThreadPool chunk hook). */
+std::atomic<int64_t> g_chunks{0};
+
+void
+countChunk()
+{
+    g_chunks.fetch_add(1, std::memory_order_relaxed);
+}
+
+/**
+ * Chunks a dispatched apply of `rows` rows over m outputs runs: one
+ * per slice when it reaches the default threshold on a pool with
+ * workers, none (no pool job) otherwise or on the scalar reference.
+ */
+int64_t
+expectedChunks(size_t rows, int64_t m, const DeltaDispatch &dispatch)
+{
+    const int64_t macs = static_cast<int64_t>(rows) * m;
+    const size_t workers = dispatch.pool->workerCount();
+    if (workers == 0 || dispatch.arch == kernels::KernelArch::Scalar ||
+        macs < kernels::kDefaultParallelMacThreshold)
+        return 0;
+    return ceilDiv(m, kernels::deltaSliceFloats(m, workers));
+}
+
+class RealShapePools : public ::testing::TestWithParam<size_t>
+{
+};
+
+TEST_P(RealShapePools, ApplyAndGemvMatchScalarBitExact)
+{
+    // The workloads' FC widths (Kaldi 360 / 2000 / 3482, a tail past
+    // a whole number of lines), 400 inputs like Kaldi FC3-FC6, at the
+    // default threshold: below it the layer stays on the caller,
+    // above it the slices split over the pool.
+    const size_t workers = GetParam();
+    KernelThreadPool pool(workers);
+    DeltaDispatch dispatch;
+    dispatch.arch = kernels::defaultDispatch().arch;
+    dispatch.pool = &pool;
+    Rng rng(107);
+    const int64_t n = 400;
+    int64_t split = 0;
+    KernelThreadPool::setChunkHook(&countChunk);
+    for (const int64_t m : {360, 2000, 3482, 4099}) {
+        const std::vector<float> weights =
+            randomVector(static_cast<size_t>(n * m), rng);
+        const std::vector<float> base =
+            randomVector(static_cast<size_t>(m), rng);
+        for (const double fraction : {0.1, 0.4, 1.0}) {
+            SCOPED_TRACE("m=" + std::to_string(m) +
+                         " fraction=" + std::to_string(fraction));
+            const ChangeList changes = makeChanges(n, fraction, rng);
+            std::vector<float> want = base;
+            std::vector<float> got = base;
+            kernels::applyDeltasScalar(changes, weights.data(), m,
+                                       want.data());
+            g_chunks = 0;
+            kernels::applyDeltas(changes, weights.data(), m, got.data(),
+                                 dispatch);
+            EXPECT_EQ(g_chunks.load(),
+                      expectedChunks(changes.size(), m, dispatch));
+            split += g_chunks.load() > 0;
+            ASSERT_EQ(std::memcmp(want.data(), got.data(), m * 4), 0)
+                << "apply";
+
+            std::vector<float> input =
+                randomVector(static_cast<size_t>(n), rng);
+            for (float &v : input)
+                v = rng.bernoulli(fraction) ? v : 0.0f;
+            const size_t rows = static_cast<size_t>(
+                std::count_if(input.begin(), input.end(),
+                              [](float v) { return v != 0.0f; }));
+            kernels::gemvScalar(input.data(), n, weights.data(),
+                                base.data(), m, want.data());
+            g_chunks = 0;
+            kernels::gemv(input.data(), n, weights.data(), base.data(),
+                          m, got.data(), dispatch);
+            EXPECT_EQ(g_chunks.load(), expectedChunks(rows, m, dispatch));
+            split += g_chunks.load() > 0;
+            ASSERT_EQ(std::memcmp(want.data(), got.data(), m * 4), 0)
+                << "gemv";
+        }
+    }
+    KernelThreadPool::setChunkHook(nullptr);
+    if (workers > 0 && dispatch.arch != kernels::KernelArch::Scalar) {
+        EXPECT_GT(split, 0) << "no case reached the threshold";
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Workers, RealShapePools,
+                         ::testing::Values(size_t{0}, size_t{1},
+                                           size_t{3}),
+                         [](const ::testing::TestParamInfo<size_t> &info) {
+                             return std::to_string(info.param);
+                         });
 
 TEST(ScanChanges, MatchesNaiveQuantizerLoop)
 {
