@@ -136,34 +136,12 @@ scanChanges(const float *input, int64_t n, const QuantScanParams &q,
     float *deltas = nullptr;
     out.beginScan(n, positions, deltas);
 
-    ScanResult r;
-    switch (arch) {
-#if defined(REUSE_KERNELS_HAVE_AVX512)
-      case KernelArch::Avx512:
-        r = scanChangesAvx512(input, n, q, prev_indices, positions,
-                              deltas);
-        break;
-#endif
-#if defined(REUSE_KERNELS_HAVE_AVX2)
-      case KernelArch::Avx2:
-        r = scanChangesAvx2(input, n, q, prev_indices, positions,
-                            deltas);
-        break;
-#endif
-#if defined(REUSE_KERNELS_HAVE_NEON)
-      case KernelArch::Neon:
-        r = scanChangesNeon(input, n, q, prev_indices, positions,
-                            deltas);
-        break;
-#endif
-      default:
-        // Scalar and Blocked share the fused scalar scan (blocking
-        // only ever applied to the output-streaming apply kernels),
-        // as does any SIMD arch the build did not compile.
-        r = scanChangesScalar(input, n, q, prev_indices, positions,
-                              deltas);
-        break;
-    }
+    const ArchKernels *isa = archKernels(arch);
+    const ScanResult r =
+        isa != nullptr
+            ? isa->scan(input, n, q, prev_indices, positions, deltas)
+            : scanChangesScalar(input, n, q, prev_indices, positions,
+                                deltas);
     out.endScan(static_cast<size_t>(r.changed));
     return r;
 }

@@ -1,9 +1,10 @@
 /**
  * @file
  * Closed-form enumeration of the conv output windows a changed input
- * covers, shared by every conv delta kernel (scalar reference,
- * blocked, intrinsic) and the MAC counters.  Kernel-layer internal,
- * like simd_kernels.h.
+ * covers, shared by every conv delta kernel (scalar reference and
+ * the ISA tables) and the MAC counters, plus the unit-stride row
+ * update the AVX2 and NEON tables run.  Kernel-layer internal, like
+ * simd_kernels.h.
  *
  * Along one axis, output o reads inputs [o*stride - pad,
  * o*stride - pad + kernel).  Input i is therefore covered by the
@@ -12,6 +13,11 @@
  * output o through kernel offset k = i + pad - o*stride.  Enumerating
  * that range directly replaces the per-offset `%`/`/` tests of a
  * kernel-offset loop.
+ *
+ * Everything here has internal linkage (an anonymous namespace):
+ * each including TU compiles its own copy with its own -m flags, so
+ * the linker can never fold an -mavx2 or -mavx512f copy of one of
+ * these functions into baseline-ISA code, or the reverse.
  */
 
 #ifndef REUSE_DNN_KERNELS_CONV_WINDOWS_H
@@ -25,6 +31,7 @@
 
 namespace reuse {
 namespace kernels {
+namespace {
 
 /** Output coordinates [lo, hi) covering one input coordinate. */
 struct OutputSpan {
@@ -130,6 +137,41 @@ forEachConv3dWindow(const ChangeList &changes, const Conv3dGeometry &g,
     }
 }
 
+/**
+ * One window's row update dst[0..C_out) += d * w_row[0..C_out) as a
+ * unit-stride loop the compiler vectorizes to the including TU's
+ * ISA: 8 lanes in the -mavx2 TU, 4 in the NEON TU.
+ */
+struct UnitStrideRow {
+    int64_t c_out;
+
+    void operator()(float *__restrict dst,
+                    const float *__restrict w_row, float d) const
+    {
+        for (int64_t co = 0; co < c_out; ++co)
+            dst[co] += d * w_row[co];
+    }
+};
+
+/** 2D conv delta update with UnitStrideRow (an ArchKernels entry). */
+inline void
+applyConvDeltas2dRows(const ChangeList &changes, const Conv2dGeometry &g,
+                      const float *weights, float *out)
+{
+    forEachConv2dWindow(changes, g, weights, out,
+                        UnitStrideRow{g.out_channels});
+}
+
+/** 3D conv delta update with UnitStrideRow (an ArchKernels entry). */
+inline void
+applyConvDeltas3dRows(const ChangeList &changes, const Conv3dGeometry &g,
+                      const float *weights, float *out)
+{
+    forEachConv3dWindow(changes, g, weights, out,
+                        UnitStrideRow{g.out_channels});
+}
+
+} // namespace
 } // namespace kernels
 } // namespace reuse
 

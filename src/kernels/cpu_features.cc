@@ -1,5 +1,7 @@
 #include "cpu_features.h"
 
+#include "kernels/simd_kernels.h"
+
 namespace reuse {
 namespace kernels {
 
@@ -9,8 +11,6 @@ archName(KernelArch arch)
     switch (arch) {
       case KernelArch::Scalar:
         return "scalar";
-      case KernelArch::Blocked:
-        return "blocked";
       case KernelArch::Neon:
         return "neon";
       case KernelArch::Avx2:
@@ -21,33 +21,31 @@ archName(KernelArch arch)
     return "unknown";
 }
 
+const ArchKernels *
+archKernels(KernelArch arch)
+{
+    switch (arch) {
+#if defined(REUSE_KERNELS_HAVE_NEON)
+      case KernelArch::Neon:
+        return &kNeonKernels;
+#endif
+#if defined(REUSE_KERNELS_HAVE_AVX2)
+      case KernelArch::Avx2:
+        return &kAvx2Kernels;
+#endif
+#if defined(REUSE_KERNELS_HAVE_AVX512)
+      case KernelArch::Avx512:
+        return &kAvx512Kernels;
+#endif
+      default:
+        return nullptr;
+    }
+}
+
 bool
 archCompiled(KernelArch arch)
 {
-    switch (arch) {
-      case KernelArch::Scalar:
-      case KernelArch::Blocked:
-        return true;
-      case KernelArch::Neon:
-#if defined(REUSE_KERNELS_HAVE_NEON)
-        return true;
-#else
-        return false;
-#endif
-      case KernelArch::Avx2:
-#if defined(REUSE_KERNELS_HAVE_AVX2)
-        return true;
-#else
-        return false;
-#endif
-      case KernelArch::Avx512:
-#if defined(REUSE_KERNELS_HAVE_AVX512)
-        return true;
-#else
-        return false;
-#endif
-    }
-    return false;
+    return arch == KernelArch::Scalar || archKernels(arch) != nullptr;
 }
 
 bool
@@ -55,7 +53,6 @@ archRunnable(KernelArch arch)
 {
     switch (arch) {
       case KernelArch::Scalar:
-      case KernelArch::Blocked:
         return true;
       case KernelArch::Neon:
         // NEON is architecturally guaranteed on AArch64, so a build
@@ -92,7 +89,7 @@ bestSupportedArch()
         if (archCompiled(arch) && archRunnable(arch))
             return arch;
     }
-    return KernelArch::Blocked;
+    return KernelArch::Scalar;
 }
 
 bool
@@ -100,8 +97,6 @@ parseKernelArch(std::string_view name, KernelArch &out)
 {
     if (name == "scalar")
         out = KernelArch::Scalar;
-    else if (name == "blocked")
-        out = KernelArch::Blocked;
     else if (name == "neon")
         out = KernelArch::Neon;
     else if (name == "avx2")

@@ -1,16 +1,15 @@
 /**
  * @file
- * Blocked kernel implementations and the runtime dispatchers.  The
- * scalar references live in delta_kernels_scalar.cc (vectorization
- * disabled); the hand-written SIMD forms live in the per-ISA TUs
- * (delta_kernels_avx2.cc / _avx512.cc / _neon.cc) declared by
- * simd_kernels.h.
+ * The runtime dispatchers, plus the baseline-ISA kernels every SIMD
+ * family shares (LSTM tail, softmax, MAC counters, layout
+ * transpose).  The scalar references live in delta_kernels_scalar.cc
+ * (vectorization disabled); the per-ISA kernels live in the
+ * ArchKernels tables of delta_kernels_avx2.cc / _avx512.cc /
+ * _neon.cc (simd_kernels.h).
  *
- * This translation unit is compiled at -O3 (see CMakeLists.txt):
- * the blocked inner loops are unit-stride restrict-qualified
- * multiply-accumulates that GCC/Clang auto-vectorize to the baseline
- * ISA; the dispatchers below route to the intrinsic TUs when CPUID
- * allows it.
+ * This translation unit is compiled at -O3 (see CMakeLists.txt) so
+ * the LSTM tail and softmax loops auto-vectorize to the baseline
+ * ISA.
  */
 
 #include "delta_kernels.h"
@@ -44,35 +43,6 @@ shouldThread(const DeltaDispatch &dispatch, KernelThreadPool &pool,
            pool.workerCount() > 0;
 }
 
-using ApplyRangeFn = void (*)(const ChangeList &, const float *,
-                              int64_t, int64_t, int64_t, float *);
-
-/**
- * Range-kernel for an arch.  Archs whose TU is not compiled into
- * this build fall back to the blocked form — defaultDispatch()
- * never routes there, but an explicit DeltaDispatch might.
- */
-ApplyRangeFn
-applyRangeFor(KernelArch arch)
-{
-    switch (arch) {
-#if defined(REUSE_KERNELS_HAVE_AVX512)
-      case KernelArch::Avx512:
-        return &applyDeltasAvx512Range;
-#endif
-#if defined(REUSE_KERNELS_HAVE_AVX2)
-      case KernelArch::Avx2:
-        return &applyDeltasAvx2Range;
-#endif
-#if defined(REUSE_KERNELS_HAVE_NEON)
-      case KernelArch::Neon:
-        return &applyDeltasNeonRange;
-#endif
-      default:
-        return &applyDeltasBlockedRange;
-    }
-}
-
 } // namespace
 
 // ---------------------------------------------------------------
@@ -87,82 +57,26 @@ deltaSliceFloats(int64_t m, size_t workers)
 }
 
 void
-applyDeltasBlockedRange(const ChangeList &changes, const float *weights,
-                        int64_t m, int64_t begin, int64_t end,
-                        float *out)
-{
-    const size_t k = changes.size();
-    const int32_t *__restrict pos = changes.positions();
-    const float *__restrict del = changes.deltas();
-    for (int64_t b0 = begin; b0 < end; b0 += kDeltaBlockFloats) {
-        const int64_t len = std::min(kDeltaBlockFloats, end - b0);
-        float *__restrict dst = out + b0;
-        // Four changes per sweep: 4x fewer block read/writes, and
-        // four weight-row streams in flight (the kernel is memory
-        // bound on large layers).  The accumulation per output
-        // element stays a sequential chain in ascending change
-        // order, so the result is bit-identical to one-at-a-time.
-        size_t c = 0;
-        for (; c + 4 <= k; c += 4) {
-            const float d0 = del[c];
-            const float d1 = del[c + 1];
-            const float d2 = del[c + 2];
-            const float d3 = del[c + 3];
-            const float *__restrict w0 =
-                weights + static_cast<int64_t>(pos[c]) * m + b0;
-            const float *__restrict w1 =
-                weights + static_cast<int64_t>(pos[c + 1]) * m + b0;
-            const float *__restrict w2 =
-                weights + static_cast<int64_t>(pos[c + 2]) * m + b0;
-            const float *__restrict w3 =
-                weights + static_cast<int64_t>(pos[c + 3]) * m + b0;
-            for (int64_t o = 0; o < len; ++o) {
-                float acc = dst[o];
-                acc += d0 * w0[o];
-                acc += d1 * w1[o];
-                acc += d2 * w2[o];
-                acc += d3 * w3[o];
-                dst[o] = acc;
-            }
-        }
-        for (; c < k; ++c) {
-            const float d = del[c];
-            const float *__restrict w_row =
-                weights + static_cast<int64_t>(pos[c]) * m + b0;
-            for (int64_t o = 0; o < len; ++o)
-                dst[o] += d * w_row[o];
-        }
-    }
-}
-
-void
-applyDeltasBlocked(const ChangeList &changes, const float *weights,
-                   int64_t m, float *out)
-{
-    applyDeltasBlockedRange(changes, weights, m, 0, m, out);
-}
-
-void
 applyDeltas(const ChangeList &changes, const float *weights, int64_t m,
             float *out, const DeltaDispatch &dispatch)
 {
     if (changes.empty() || m <= 0)
         return;
-    if (dispatch.arch == KernelArch::Scalar) {
+    const ArchKernels *isa = archKernels(dispatch.arch);
+    if (isa == nullptr) {
         applyDeltasScalar(changes, weights, m, out);
         return;
     }
-    const ApplyRangeFn range = applyRangeFor(dispatch.arch);
     KernelThreadPool &pool = poolOf(dispatch);
     const int64_t macs = static_cast<int64_t>(changes.size()) * m;
     if (shouldThread(dispatch, pool, macs)) {
         pool.parallelFor(m, deltaSliceFloats(m, pool.workerCount()),
                          [&](int64_t begin, int64_t end) {
-                             range(changes, weights, m, begin, end,
-                                   out);
+                             isa->apply_range(changes, weights, m,
+                                               begin, end, out);
                          });
     } else {
-        range(changes, weights, m, 0, m, out);
+        isa->apply_range(changes, weights, m, 0, m, out);
     }
 }
 
@@ -278,58 +192,15 @@ softmax(float *x, int64_t n, KernelArch arch)
 // Conv delta update (channels-last output, one row per window).
 // ---------------------------------------------------------------
 
-namespace {
-
-/** One window's row update, auto-vectorized to the baseline ISA. */
-struct BlockedRow {
-    int64_t c_out;
-
-    void operator()(float *__restrict dst,
-                    const float *__restrict w_row, float d) const
-    {
-        for (int64_t co = 0; co < c_out; ++co)
-            dst[co] += d * w_row[co];
-    }
-};
-
-} // namespace
-
-void
-applyConvDeltas2dBlocked(const ChangeList &changes,
-                         const Conv2dGeometry &g, const float *weights,
-                         float *out)
-{
-    forEachConv2dWindow(changes, g, weights, out,
-                        BlockedRow{g.out_channels});
-}
-
 void
 applyConvDeltas2d(const ChangeList &changes, const Conv2dGeometry &g,
                   const float *weights, float *out,
                   const DeltaDispatch &dispatch)
 {
-    switch (dispatch.arch) {
-      case KernelArch::Scalar:
+    if (const ArchKernels *isa = archKernels(dispatch.arch))
+        isa->conv2d(changes, g, weights, out);
+    else
         applyConvDeltas2dScalar(changes, g, weights, out);
-        return;
-#if defined(REUSE_KERNELS_HAVE_AVX512)
-      case KernelArch::Avx512:
-        applyConvDeltas2dAvx512(changes, g, weights, out);
-        return;
-#endif
-      default:
-        applyConvDeltas2dBlocked(changes, g, weights, out);
-        return;
-    }
-}
-
-void
-applyConvDeltas3dBlocked(const ChangeList &changes,
-                         const Conv3dGeometry &g, const float *weights,
-                         float *out)
-{
-    forEachConv3dWindow(changes, g, weights, out,
-                        BlockedRow{g.out_channels});
 }
 
 void
@@ -337,19 +208,10 @@ applyConvDeltas3d(const ChangeList &changes, const Conv3dGeometry &g,
                   const float *weights, float *out,
                   const DeltaDispatch &dispatch)
 {
-    switch (dispatch.arch) {
-      case KernelArch::Scalar:
+    if (const ArchKernels *isa = archKernels(dispatch.arch))
+        isa->conv3d(changes, g, weights, out);
+    else
         applyConvDeltas3dScalar(changes, g, weights, out);
-        return;
-#if defined(REUSE_KERNELS_HAVE_AVX512)
-      case KernelArch::Avx512:
-        applyConvDeltas3dAvx512(changes, g, weights, out);
-        return;
-#endif
-      default:
-        applyConvDeltas3dBlocked(changes, g, weights, out);
-        return;
-    }
 }
 
 int64_t

@@ -3,19 +3,17 @@
  * Delta-update kernels for the reuse hot path (Eq. 10:
  * z'_o = z_o + (c'_i - c_i) * W_io), behind runtime CPUID dispatch.
  *
- * Every kernel exists in several forms:
+ * Every kernel exists in two kinds of form:
  *
  *  - a *scalar reference* (…Scalar), compiled with vectorization
  *    disabled, that performs the operations in the same per-output
  *    order the original interleaved code used;
- *  - a *blocked* form that applies the whole change list one output
- *    block (kDeltaBlockFloats floats, 4 KB) at a time with
- *    restrict-qualified unit-stride loops the compiler
- *    auto-vectorizes to its baseline ISA;
- *  - hand-written *intrinsic* forms (AVX2 / AVX-512 / NEON, see
- *    simd_kernels.h) selected at runtime by CPUID, which use the
- *    full vector width of the machine instead of the x86-64
- *    baseline the blocked form compiles to.
+ *  - one *ISA form* per SIMD family (AVX2 / AVX-512 / NEON, one
+ *    ArchKernels table each, see simd_kernels.h) selected at
+ *    runtime by CPUID, compiled for that family's full vector
+ *    width.  The FC/LSTM applies are hand-written intrinsics that
+ *    apply the whole change list one output block
+ *    (kDeltaBlockFloats) at a time.
  *
  * All forms perform the identical floating-point operations in the
  * identical per-output-element order (separate mul + add, ascending
@@ -53,7 +51,11 @@
 namespace reuse {
 namespace kernels {
 
-/** Output-block size of the blocked kernels: 4 KB of float32. */
+/**
+ * Output-block size of the SIMD FC/LSTM applies: every change of the
+ * list is applied to one 4 KB block of outputs (1024 floats) before
+ * the next block, so the block stays in L1 across the changes.
+ */
 constexpr int64_t kDeltaBlockFloats = 1024;
 
 /** Floats per 64-byte cache line: the unit a pool slice is cut in. */
@@ -77,17 +79,9 @@ int64_t deltaSliceFloats(int64_t m, size_t workers);
 void applyDeltasScalar(const ChangeList &changes, const float *weights,
                        int64_t m, float *out);
 
-/** Blocked + auto-vectorized form over outputs [begin, end). */
-void applyDeltasBlockedRange(const ChangeList &changes,
-                             const float *weights, int64_t m,
-                             int64_t begin, int64_t end, float *out);
-
-/** Blocked + auto-vectorized form over the whole output vector. */
-void applyDeltasBlocked(const ChangeList &changes, const float *weights,
-                        int64_t m, float *out);
-
 /**
- * Dispatched form: the CPUID arch choice, split over the dispatch's
+ * Dispatched form: the arch's ISA form (the scalar reference when
+ * the arch has no compiled table), split over the dispatch's
  * pool in deltaSliceFloats slices when changed × m reaches
  * dispatch.parallel_mac_threshold and the pool has workers, else on
  * the caller.
@@ -191,10 +185,10 @@ float softmaxExp(float x);
 // dst[0..C_out) += delta * w_row[0..C_out) against the input-major
 // weight row of the change's (ci, k...) offset.  The windows come
 // from a closed form (conv_windows.h).  AVX-512 runs a masked
-// unit-stride row; every other non-scalar arch runs the blocked
-// (auto-vectorized) row.  The conv kernels always run on the
-// caller: a prototype that split the AVX-512 conv2d apply into four
-// output-row bands on the pool moved autopilot-stream's
+// unit-stride row; AVX2 and NEON run a plain unit-stride row the
+// compiler vectorizes in their own TUs.  The conv kernels always run
+// on the caller: a prototype that split the AVX-512 conv2d apply
+// into four output-row bands on the pool moved autopilot-stream's
 // frame_us_p50 by -1 to -6% but its frame_us_p99 by +38 to +52% over
 // 3 A/B pairs on a 4-vCPU AVX-512 host (see DESIGN.md §9).
 // ---------------------------------------------------------------
@@ -228,11 +222,6 @@ void applyConvDeltas2dScalar(const ChangeList &changes,
                              const Conv2dGeometry &g,
                              const float *weights, float *out);
 
-/** Blocked form: the same row updates, auto-vectorized. */
-void applyConvDeltas2dBlocked(const ChangeList &changes,
-                              const Conv2dGeometry &g,
-                              const float *weights, float *out);
-
 /** Dispatched form (implementation choice; runs on the caller). */
 void applyConvDeltas2d(const ChangeList &changes,
                        const Conv2dGeometry &g, const float *weights,
@@ -243,11 +232,6 @@ void applyConvDeltas2d(const ChangeList &changes,
 void applyConvDeltas3dScalar(const ChangeList &changes,
                              const Conv3dGeometry &g,
                              const float *weights, float *out);
-
-/** Blocked form (3D). */
-void applyConvDeltas3dBlocked(const ChangeList &changes,
-                              const Conv3dGeometry &g,
-                              const float *weights, float *out);
 
 /** Dispatched form (3D). */
 void applyConvDeltas3d(const ChangeList &changes,

@@ -14,12 +14,16 @@
  *    front, and a full-vector store at the write cursor (advanced by
  *    popcount) emits them — the cursor scribbles up to 7 lanes past
  *    the final count, which ChangeList::beginScan() pre-sizes for.
+ *
+ * The conv entries are conv_windows.h's unit-stride row, which this
+ * TU's -mavx2 compiles 8 lanes wide.
  */
 
 #include <immintrin.h>
 
 #include <algorithm>
 
+#include "kernels/conv_windows.h"
 #include "kernels/delta_kernels.h"
 #include "kernels/simd_kernels.h"
 
@@ -48,8 +52,6 @@ makeCompactTable()
 }
 
 constexpr CompactTable kCompact = makeCompactTable();
-
-} // namespace
 
 ScanResult
 scanChangesAvx2(const float *input, int64_t n,
@@ -233,6 +235,12 @@ applyDeltasAvx2Range(const ChangeList &changes, const float *weights,
         }
     }
 }
+
+} // namespace
+
+const ArchKernels kAvx2Kernels = {&scanChangesAvx2, &applyDeltasAvx2Range,
+                                  &applyConvDeltas2dRows,
+                                  &applyConvDeltas3dRows};
 
 } // namespace kernels
 } // namespace reuse

@@ -22,6 +22,8 @@
 namespace reuse {
 namespace kernels {
 
+namespace {
+
 ScanResult
 scanChangesAvx512(const float *input, int64_t n,
                   const QuantScanParams &q, int32_t *prev_indices,
@@ -214,8 +216,6 @@ applyDeltasAvx512Range(const ChangeList &changes,
 // changes apply in the scalar reference's order.
 // ---------------------------------------------------------------
 
-namespace {
-
 struct Avx512Row {
     int64_t c_out;
     __mmask16 tail;
@@ -246,8 +246,6 @@ struct Avx512Row {
     }
 };
 
-} // namespace
-
 void
 applyConvDeltas2dAvx512(const ChangeList &changes,
                         const Conv2dGeometry &g, const float *weights,
@@ -265,6 +263,12 @@ applyConvDeltas3dAvx512(const ChangeList &changes,
     forEachConv3dWindow(changes, g, weights, out,
                         Avx512Row(g.out_channels));
 }
+
+} // namespace
+
+const ArchKernels kAvx512Kernels = {
+    &scanChangesAvx512, &applyDeltasAvx512Range, &applyConvDeltas2dAvx512,
+    &applyConvDeltas3dAvx512};
 
 } // namespace kernels
 } // namespace reuse

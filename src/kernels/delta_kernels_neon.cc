@@ -10,7 +10,8 @@
  * NEON has no compress-store or movemask, so the scan compacts by
  * materializing each vector's lanes to a small stack buffer and
  * emitting the changed ones scalar-wise; the quantize/compare work
- * is still 4-wide.
+ * is still 4-wide.  The conv entries are conv_windows.h's
+ * unit-stride row, compiled 4 lanes wide here.
  */
 
 #if defined(__ARM_NEON)
@@ -19,11 +20,14 @@
 
 #include <algorithm>
 
+#include "kernels/conv_windows.h"
 #include "kernels/delta_kernels.h"
 #include "kernels/simd_kernels.h"
 
 namespace reuse {
 namespace kernels {
+
+namespace {
 
 ScanResult
 scanChangesNeon(const float *input, int64_t n,
@@ -174,6 +178,12 @@ applyDeltasNeonRange(const ChangeList &changes, const float *weights,
         }
     }
 }
+
+} // namespace
+
+const ArchKernels kNeonKernels = {&scanChangesNeon, &applyDeltasNeonRange,
+                                  &applyConvDeltas2dRows,
+                                  &applyConvDeltas3dRows};
 
 } // namespace kernels
 } // namespace reuse

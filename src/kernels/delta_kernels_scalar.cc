@@ -4,11 +4,11 @@
  *
  * These reproduce the original interleaved hot path's operation
  * order exactly (per change, one full sweep of the affected
- * outputs) and serve as the correctness reference the blocked
- * kernels are tested against, and as the baseline the perf-smoke CI
- * job compares against.  This translation unit is compiled with
+ * outputs) and serve as the correctness reference the SIMD kernels
+ * are tested against, and as the baseline the perf-smoke CI job
+ * compares against.  This translation unit is compiled with
  * auto-vectorization disabled (see CMakeLists.txt), so the measured
- * scalar-vs-blocked speedup reflects what blocking + SIMD buy.
+ * scalar-vs-SIMD speedup reflects what blocking + SIMD buy.
  */
 
 #include "delta_kernels.h"

@@ -40,14 +40,13 @@ constexpr int64_t kDefaultParallelMacThreshold = 1 << 18;
 /**
  * Runtime kernel-dispatch configuration.  The process-wide default
  * is read once from the environment: REUSE_KERNELS=
- * scalar|blocked|avx2|avx512|neon forces an implementation family,
- * REUSE_KERNEL_PAR_THRESHOLD overrides the threading threshold
- * (negative disables threading), and REUSE_KERNEL_THREADS sizes the
- * pool (see thread_pool.h).
+ * scalar|avx2|avx512|neon forces an implementation family, and
+ * REUSE_KERNEL_THREADS sizes the pool (see thread_pool.h; 0 keeps
+ * every kernel on the caller).
  */
 struct DeltaDispatch {
     /** Implementation family every kernel routes to. */
-    KernelArch arch = KernelArch::Blocked;
+    KernelArch arch = bestSupportedArch();
     /** MAC count at which to thread; negative = never. */
     int64_t parallel_mac_threshold = kDefaultParallelMacThreshold;
     /** Pool to thread on; null = KernelThreadPool::global(). */

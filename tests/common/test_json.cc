@@ -87,8 +87,12 @@ TEST(Json, ParseFileRoundTrip)
 TEST(Json, EscapeProducesParseableStrings)
 {
     const std::string nasty = "a\"b\\c\nd\te\x01";
-    const JsonParseResult r =
-        parseJson("\"" + jsonEscape(nasty) + "\"");
+    // Appended in place: GCC 12's -Wrestrict misfires on
+    // `"..." + std::string` in Release builds.
+    std::string quoted(1, '"');
+    quoted += jsonEscape(nasty);
+    quoted += '"';
+    const JsonParseResult r = parseJson(quoted);
     ASSERT_TRUE(r.ok) << r.error;
     EXPECT_EQ(r.value.asString(), nasty);
 }

@@ -16,7 +16,6 @@ set(want "")
 foreach(workers 0 1 3)
     execute_process(
         COMMAND ${CMAKE_COMMAND} -E env
-                --unset=REUSE_KERNEL_PAR_THRESHOLD
                 REUSE_KERNEL_THREADS=${workers} ${EXE}
         RESULT_VARIABLE rc
         OUTPUT_VARIABLE out

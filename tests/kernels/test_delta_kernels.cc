@@ -1,9 +1,10 @@
 /**
  * @file
- * Bit-exactness tests for the blocked/vectorized delta kernels
- * against their scalar references, across odd sizes (outputs not a
- * multiple of the block or vector width), empty and full change
- * lists, and explicit thread-pool dispatch.
+ * Bit-exactness tests for the dispatched delta kernels against their
+ * scalar references: empty change lists, explicit thread-pool
+ * dispatch, the change scan and the conv window enumeration.  The
+ * per-family sweeps over odd and block-boundary sizes live in
+ * test_simd_kernels.cc.
  */
 
 #include <gtest/gtest.h>
@@ -52,39 +53,6 @@ randomVector(size_t n, Rng &rng)
     return v;
 }
 
-// The output sizes deliberately include 1 (single-output layer),
-// non-multiples of the SIMD width (3, 17, 33, 1023, 1025, 4099), an
-// exact block (1024) and multiple blocks (2048).
-const int64_t kOutputSizes[] = {1, 3, 17, 33, 1000, 1023, 1024, 1025,
-                                2048, 4099};
-
-TEST(ApplyDeltas, BlockedMatchesScalarBitExact)
-{
-    Rng rng(101);
-    const int64_t n = 57;
-    for (const int64_t m : kOutputSizes) {
-        const std::vector<float> weights =
-            randomVector(static_cast<size_t>(n * m), rng);
-        const std::vector<float> base =
-            randomVector(static_cast<size_t>(m), rng);
-        for (const double fraction : {0.0, 0.1, 0.5, 1.0}) {
-            const ChangeList changes = makeChanges(n, fraction, rng);
-            std::vector<float> scalar = base;
-            std::vector<float> blocked = base;
-            kernels::applyDeltasScalar(changes, weights.data(), m,
-                                       scalar.data());
-            kernels::applyDeltasBlocked(changes, weights.data(), m,
-                                        blocked.data());
-            for (int64_t o = 0; o < m; ++o) {
-                ASSERT_EQ(scalar[static_cast<size_t>(o)],
-                          blocked[static_cast<size_t>(o)])
-                    << "m=" << m << " fraction=" << fraction
-                    << " o=" << o;
-            }
-        }
-    }
-}
-
 TEST(ApplyDeltas, ThreadedMatchesScalarBitExact)
 {
     Rng rng(102);
@@ -113,28 +81,6 @@ TEST(ApplyDeltas, ThreadedMatchesScalarBitExact)
     }
 }
 
-TEST(ApplyDeltas, ScalarDispatchMatchesBlocked)
-{
-    Rng rng(103);
-    const int64_t n = 19;
-    const int64_t m = 257;
-    const std::vector<float> weights =
-        randomVector(static_cast<size_t>(n * m), rng);
-    const std::vector<float> base =
-        randomVector(static_cast<size_t>(m), rng);
-    const ChangeList changes = makeChanges(n, 0.4, rng);
-
-    DeltaDispatch scalar_dispatch;
-    scalar_dispatch.arch = kernels::KernelArch::Scalar;
-    std::vector<float> a = base;
-    std::vector<float> b = base;
-    kernels::applyDeltas(changes, weights.data(), m, a.data(),
-                         scalar_dispatch);
-    kernels::applyDeltasBlocked(changes, weights.data(), m, b.data());
-    for (int64_t o = 0; o < m; ++o)
-        ASSERT_EQ(a[static_cast<size_t>(o)], b[static_cast<size_t>(o)]);
-}
-
 TEST(ApplyDeltas, EmptyChangeListIsANoOp)
 {
     Rng rng(104);
@@ -145,39 +91,8 @@ TEST(ApplyDeltas, EmptyChangeListIsANoOp)
         randomVector(static_cast<size_t>(m), rng);
     ChangeList changes;
     std::vector<float> out = base;
-    kernels::applyDeltasBlocked(changes, weights.data(), m, out.data());
+    kernels::applyDeltas(changes, weights.data(), m, out.data());
     EXPECT_EQ(out, base);
-}
-
-TEST(Gemv, BlockedMatchesScalarBitExact)
-{
-    Rng rng(105);
-    const int64_t n = 41;
-    for (const int64_t m : kOutputSizes) {
-        const std::vector<float> weights =
-            randomVector(static_cast<size_t>(n * m), rng);
-        const std::vector<float> biases =
-            randomVector(static_cast<size_t>(m), rng);
-        std::vector<float> input =
-            randomVector(static_cast<size_t>(n), rng);
-        // Sprinkle zeros: both forms must take the skip-zero path at
-        // the same elements.
-        for (size_t i = 0; i < input.size(); i += 3)
-            input[i] = 0.0f;
-        std::vector<float> scalar(static_cast<size_t>(m));
-        std::vector<float> blocked(static_cast<size_t>(m));
-        DeltaDispatch dispatch;
-        dispatch.arch = kernels::KernelArch::Blocked;
-        kernels::gemvScalar(input.data(), n, weights.data(),
-                            biases.data(), m, scalar.data());
-        kernels::gemv(input.data(), n, weights.data(), biases.data(), m,
-                      blocked.data(), dispatch);
-        for (int64_t o = 0; o < m; ++o) {
-            ASSERT_EQ(scalar[static_cast<size_t>(o)],
-                      blocked[static_cast<size_t>(o)])
-                << "m=" << m << " o=" << o;
-        }
-    }
 }
 
 TEST(Gemv, ThreadedMatchesScalarBitExact)
@@ -408,93 +323,6 @@ TEST(QuantizeWithIndices, MatchesQuantizer)
         EXPECT_EQ(indices[s], quant.index(input[s])) << "i=" << i;
         EXPECT_EQ(centroids[s], quant.centroid(indices[s]))
             << "i=" << i;
-    }
-}
-
-TEST(ConvDeltas2d, BlockedMatchesScalarBitExact)
-{
-    Rng rng(110);
-    // Geometries chosen so out_channels is not a multiple of the
-    // vector width (16): 1, 3, 17, 33.
-    struct Case {
-        int64_t c_in, h, w, c_out, kernel, stride;
-    };
-    const Case cases[] = {
-        {1, 7, 7, 1, 3, 1},   {2, 9, 11, 3, 3, 2},
-        {3, 12, 12, 17, 5, 1}, {2, 16, 16, 33, 3, 2},
-    };
-    for (const Case &c : cases) {
-        Conv2dGeometry g;
-        g.in_h = c.h;
-        g.in_w = c.w;
-        g.out_channels = c.c_out;
-        g.out_h = (c.h - c.kernel) / c.stride + 1;
-        g.out_w = (c.w - c.kernel) / c.stride + 1;
-        g.kernel = c.kernel;
-        g.stride = c.stride;
-        const int64_t n = c.c_in * c.h * c.w;
-        const std::vector<float> weights = randomVector(
-            static_cast<size_t>(c.c_in * c.kernel * c.kernel * c.c_out),
-            rng);
-        const std::vector<float> base = randomVector(
-            static_cast<size_t>(c.c_out * g.out_h * g.out_w), rng);
-        for (const double fraction : {0.0, 0.2, 1.0}) {
-            const ChangeList changes = makeChanges(n, fraction, rng);
-            std::vector<float> scalar = base;
-            std::vector<float> blocked = base;
-            kernels::applyConvDeltas2dScalar(changes, g, weights.data(),
-                                             scalar.data());
-            kernels::applyConvDeltas2dBlocked(changes, g,
-                                              weights.data(),
-                                              blocked.data());
-            ASSERT_EQ(scalar, blocked)
-                << "c_out=" << c.c_out << " fraction=" << fraction;
-        }
-    }
-}
-
-TEST(ConvDeltas3d, BlockedMatchesScalarBitExact)
-{
-    Rng rng(111);
-    struct Case {
-        int64_t c_in, d, h, w, c_out, kernel, pad;
-    };
-    const Case cases[] = {
-        {1, 4, 6, 6, 1, 3, 1},
-        {2, 5, 7, 7, 3, 3, 0},
-        {2, 6, 8, 8, 17, 3, 1},
-    };
-    for (const Case &c : cases) {
-        Conv3dGeometry g;
-        g.in_d = c.d;
-        g.in_h = c.h;
-        g.in_w = c.w;
-        g.out_channels = c.c_out;
-        g.out_d = c.d + 2 * c.pad - c.kernel + 1;
-        g.out_h = c.h + 2 * c.pad - c.kernel + 1;
-        g.out_w = c.w + 2 * c.pad - c.kernel + 1;
-        g.kernel = c.kernel;
-        g.pad = c.pad;
-        const int64_t n = c.c_in * c.d * c.h * c.w;
-        const std::vector<float> weights = randomVector(
-            static_cast<size_t>(c.c_in * c.kernel * c.kernel *
-                                c.kernel * c.c_out),
-            rng);
-        const std::vector<float> base = randomVector(
-            static_cast<size_t>(c.c_out * g.out_d * g.out_h * g.out_w),
-            rng);
-        for (const double fraction : {0.0, 0.3, 1.0}) {
-            const ChangeList changes = makeChanges(n, fraction, rng);
-            std::vector<float> scalar = base;
-            std::vector<float> blocked = base;
-            kernels::applyConvDeltas3dScalar(changes, g, weights.data(),
-                                             scalar.data());
-            kernels::applyConvDeltas3dBlocked(changes, g,
-                                              weights.data(),
-                                              blocked.data());
-            ASSERT_EQ(scalar, blocked)
-                << "c_out=" << c.c_out << " fraction=" << fraction;
-        }
     }
 }
 

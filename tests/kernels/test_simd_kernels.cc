@@ -2,8 +2,8 @@
  * @file
  * Bit-exactness fuzz suite for the hand-written SIMD kernels.
  *
- * Every compiled-and-runnable implementation family (blocked, AVX2,
- * AVX-512, NEON) is compared against the scalar reference — which
+ * Every compiled-and-runnable SIMD family (AVX2, AVX-512, NEON) is
+ * compared against the scalar reference — which
  * defines the floating-point contract — across odd sizes, misaligned
  * tails, 0%/100% change densities and near-match radii.  All
  * comparisons are on float *bits*, not tolerances: the families must
@@ -29,8 +29,7 @@ namespace kernels {
 namespace {
 
 /** Families to fuzz against the scalar reference. */
-const KernelArch kSimdArchs[] = {KernelArch::Blocked,
-                                 KernelArch::Neon, KernelArch::Avx2,
+const KernelArch kSimdArchs[] = {KernelArch::Neon, KernelArch::Avx2,
                                  KernelArch::Avx512};
 
 /** Bit-exact comparison of two float buffers. */
@@ -48,10 +47,14 @@ bitsEqual(const float *a, const float *b, int64_t n,
     return ::testing::AssertionSuccess();
 }
 
-/** Sizes covering sub-vector, odd, power-of-two and tail cases. */
-const int64_t kSizes[] = {1,  2,  3,  7,  8,   9,   15,  16,  17,
-                          31, 32, 33, 63, 64,  65,  100, 127, 129,
-                          255, 256, 257, 1000};
+/**
+ * Sizes covering sub-vector, odd, power-of-two and tail cases, and
+ * both sides of one and several kDeltaBlockFloats output blocks.
+ */
+const int64_t kSizes[] = {1,   2,   3,   7,    8,    9,    15,   16,
+                          17,  31,  32,  33,   63,   64,   65,   100,
+                          127, 129, 255, 256,  257,  1000, 1023, 1024,
+                          1025, 2048, 4099};
 
 QuantScanParams
 makeParams(int32_t radius = 0)
@@ -416,7 +419,7 @@ TEST_P(SimdApply, GemvMatchesScalar)
     dispatch.arch = arch;
     dispatch.parallel_mac_threshold = -1;
     Rng rng(0x93e4);
-    for (const int64_t m : {1, 7, 16, 33, 100, 257}) {
+    for (const int64_t m : {1, 7, 16, 33, 100, 257, 1025, 4099}) {
         const int64_t n = 19;
         AlignedVector<float> weights(n * m), biases(m), input(n);
         rng.fillGaussian(weights, 0.0f, 1.0f);
@@ -550,8 +553,6 @@ TEST(Dispatch, ScalarIsAlwaysAvailable)
 {
     EXPECT_TRUE(archCompiled(KernelArch::Scalar));
     EXPECT_TRUE(archRunnable(KernelArch::Scalar));
-    EXPECT_TRUE(archCompiled(KernelArch::Blocked));
-    EXPECT_TRUE(archRunnable(KernelArch::Blocked));
 }
 
 TEST(Dispatch, BestSupportedArchIsCompiledAndRunnable)
@@ -564,8 +565,8 @@ TEST(Dispatch, BestSupportedArchIsCompiledAndRunnable)
 TEST(Dispatch, ParsesEveryArchNameAndRejectsUnknown)
 {
     for (const KernelArch a :
-         {KernelArch::Scalar, KernelArch::Blocked, KernelArch::Neon,
-          KernelArch::Avx2, KernelArch::Avx512}) {
+         {KernelArch::Scalar, KernelArch::Neon, KernelArch::Avx2,
+          KernelArch::Avx512}) {
         KernelArch parsed;
         EXPECT_TRUE(parseKernelArch(archName(a), parsed))
             << archName(a);
@@ -573,6 +574,7 @@ TEST(Dispatch, ParsesEveryArchNameAndRejectsUnknown)
     }
     KernelArch parsed = KernelArch::Avx2;
     EXPECT_FALSE(parseKernelArch("sse9000", parsed));
+    EXPECT_FALSE(parseKernelArch("blocked", parsed));
     EXPECT_EQ(parsed, KernelArch::Avx2);
 }
 

@@ -127,9 +127,8 @@ TEST_P(SoftmaxArch, MatchesScalarBitExact)
 
 INSTANTIATE_TEST_SUITE_P(
     AllArchs, SoftmaxArch,
-    ::testing::Values(KernelArch::Scalar, KernelArch::Blocked,
-                      KernelArch::Neon, KernelArch::Avx2,
-                      KernelArch::Avx512),
+    ::testing::Values(KernelArch::Scalar, KernelArch::Neon,
+                      KernelArch::Avx2, KernelArch::Avx512),
     [](const ::testing::TestParamInfo<KernelArch> &info) {
         return archName(info.param);
     });

@@ -79,8 +79,11 @@ TEST(Residency, RecurrentFitsOneLayerAtATime)
     Network net("rnn", Shape({120}));
     net.addLayer(std::make_unique<BiLstmLayer>("L1", 120, 320));
     for (int i = 2; i <= 5; ++i) {
-        net.addLayer(std::make_unique<BiLstmLayer>(
-            "L" + std::to_string(i), 640, 320));
+        // Appended in place: GCC 12's -Wrestrict misfires on
+        // `"..." + std::string` in Release builds.
+        std::string name(1, 'L');
+        name += std::to_string(i);
+        net.addLayer(std::make_unique<BiLstmLayer>(name, 640, 320));
     }
     AcceleratorParams p;
     p.weightsBufferBytes = 10ll * 1024 * 1024;
